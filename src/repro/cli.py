@@ -886,6 +886,15 @@ def cmd_telemetry_flights(args) -> int:
     from .obs.runledger import artifact_paths, is_run_reference
 
     index = FlightIndex()
+    skipped: List[int] = []
+
+    def read_tolerant(path: str):
+        # A killed --flight-record run leaves a torn final line; report
+        # what survives (stitching below stays strict: a gap there would
+        # silently break correlation chains).
+        return read_flights_jsonl(
+            path, strict=False, on_skip=lambda lineno, detail: skipped.append(lineno))
+
     try:
         if is_run_reference(args.flights):
             paths = artifact_paths(args.flights, "flights")
@@ -895,11 +904,11 @@ def cmd_telemetry_flights(args) -> int:
                       file=sys.stderr)
                 return 1
             if len(paths) == 1:
-                flights = read_flights_jsonl(paths[0])
+                flights = read_tolerant(paths[0])
             else:
                 flights = stitch_flight_dumps(paths)
         else:
-            flights = read_flights_jsonl(args.flights)
+            flights = read_tolerant(args.flights)
         for flight in flights:
             if args.flow is not None and flight.flow_id != args.flow:
                 continue
@@ -913,6 +922,9 @@ def cmd_telemetry_flights(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"invalid flight record in {args.flights}: {exc}", file=sys.stderr)
         return 1
+    if skipped:
+        print(f"warning: {args.flights}: skipped {len(skipped)} bad line(s) "
+              f"(first at line {skipped[0]})", file=sys.stderr)
     print(f"{index.total} flights: {index.delivered} delivered, "
           f"{index.dropped} dropped")
 
@@ -1063,7 +1075,7 @@ def cmd_telemetry_windows(args) -> int:
             verdict = crosscheck_with_flights(
                 store, read_flights_jsonl(args.validate)
             )
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ReproError) as exc:
             print(f"cannot read flights: {exc}", file=sys.stderr)
             return 1
         print(f"\nground-truth crosscheck vs {args.validate}: "

@@ -190,6 +190,19 @@ class RunAuditor(TraceSink):
         self.fault_events: Dict[str, int] = {}
         self.fault_dropped_packets: Dict[str, int] = {}
         self.fault_dropped_bytes: Dict[str, int] = {}
+        self._handlers = {
+            EV_ENQUEUE: self._on_queue_op,
+            EV_DEQUEUE: self._on_queue_op,
+            EV_DROP: self._on_drop,
+            EV_HOST_SEND: self._on_host_send,
+            EV_DELIVER: self._on_deliver,
+            EV_AGAP_UPDATE: self._on_agap_update,
+            EV_RATE_LIMIT: self._on_rate_limit,
+            EV_AQ_RATE: self._on_aq_rate,
+            EV_GATE: self._on_gate,
+            EV_FAULT: self._on_fault,
+            EV_FLUID_EPOCH: self._on_fluid_epoch,
+        }
 
     def register_queue_limit(self, node: str, limit_bytes: float) -> None:
         """Declare a queue's capacity so the upper occupancy bound applies."""
@@ -200,34 +213,9 @@ class RunAuditor(TraceSink):
     def handle(self, event: TraceEvent) -> None:
         self.events_seen += 1
         self._window.append(event)
-        etype = event.type
-        if etype == EV_ENQUEUE:
-            self._on_queue_op(event, event.size or 0)
-        elif etype == EV_DEQUEUE:
-            self._on_queue_op(event, -(event.size or 0))
-        elif etype == EV_DROP:
-            self._on_drop(event)
-        elif etype == EV_HOST_SEND:
-            book = self._book(event.flow_id)
-            book.injected_bytes += event.size or 0
-            book.injected_packets += 1
-        elif etype == EV_DELIVER:
-            book = self._book(event.flow_id)
-            book.delivered_bytes += event.size or 0
-            book.delivered_packets += 1
-            self._check_flow(event, book)
-        elif etype == EV_AGAP_UPDATE:
-            self._on_agap_update(event)
-        elif etype == EV_RATE_LIMIT:
-            self._on_rate_limit(event)
-        elif etype == EV_AQ_RATE:
-            self._on_aq_rate(event)
-        elif etype == EV_GATE:
-            self._on_gate(event)
-        elif etype == EV_FAULT:
-            self._on_fault(event)
-        elif etype == EV_FLUID_EPOCH:
-            self._on_fluid_epoch(event)
+        handler = self._handlers.get(event.type)
+        if handler is not None:
+            handler(event)
 
     def close(self) -> None:
         self.finish()
@@ -251,10 +239,26 @@ class RunAuditor(TraceSink):
                 f"injected bytes ({book.injected_bytes})",
             )
 
-    def _on_queue_op(self, event: TraceEvent, delta: float) -> None:
+    def _on_host_send(self, event: TraceEvent) -> None:
+        book = self._book(event.flow_id)
+        book.injected_bytes += event.size or 0
+        book.injected_packets += 1
+
+    def _on_deliver(self, event: TraceEvent) -> None:
+        book = self._book(event.flow_id)
+        book.delivered_bytes += event.size or 0
+        book.delivered_packets += 1
+        self._check_flow(event, book)
+
+    def _on_queue_op(self, event: TraceEvent) -> None:
+        """Move a queue's derived backlog: up on ``enqueue``, down on
+        ``dequeue`` and on the restart-drain ``drop`` events."""
         node = event.node
         if not node:
             return  # unnamed queues (micro-benches, ad-hoc tests) are not audited
+        delta = event.size or 0
+        if event.type != EV_ENQUEUE:
+            delta = -delta
         derived = self._backlog.get(node, 0.0) + delta
         self._backlog[node] = derived
         if derived < -_BACKLOG_TOL:
@@ -301,7 +305,7 @@ class RunAuditor(TraceSink):
                 # and the queue's reported backlog is re-verified — this
                 # is how conservation holds *across* the restart instead
                 # of being suspended for it.
-                self._on_queue_op(event, -(event.size or 0))
+                self._on_queue_op(event)
         if event.flow_id is not None:
             book = self._book(event.flow_id)
             book.dropped_bytes += event.size or 0

@@ -28,11 +28,12 @@ TraceBus ``enabled`` guard.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
-from typing import IO, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+
+from .codec import dumps_compact, encode_flight, read_records
 
 _HOP_FIELDS = (
     "kind",       # "queue" | "aq" | "drop" | "cut"
@@ -291,8 +292,7 @@ class JsonlFlightSink(FlightSink):
         self._closed = False
 
     def _write(self, flight: Flight) -> None:
-        self._fh.write(json.dumps(flight.to_dict(), separators=(",", ":")))
-        self._fh.write("\n")
+        self._fh.write(encode_flight(flight))
         self.flights_written += 1
 
     def handle_flight(self, flight: Flight) -> None:
@@ -312,15 +312,11 @@ class JsonlFlightSink(FlightSink):
             if self.flights_evicted:
                 # A header line so readers know the file is a suffix of
                 # the run, and how much history the ring overwrote.
-                self._fh.write(json.dumps(
-                    {
-                        "type": "ring_meta",
-                        "max_flights": self.max_flights,
-                        "flights_evicted": self.flights_evicted,
-                    },
-                    separators=(",", ":"),
-                ))
-                self._fh.write("\n")
+                self._fh.write(dumps_compact({
+                    "type": "ring_meta",
+                    "max_flights": self.max_flights,
+                    "flights_evicted": self.flights_evicted,
+                }) + "\n")
             for flight in self._ring:
                 self._write(flight)
             self._ring.clear()
@@ -369,12 +365,15 @@ class FlightIndex(FlightSink):
             self.exported += 1
         else:
             self.delivered += 1
-            self._delivered_by_flow[flight.flow_id] += 1
-            self._latency_sum_by_flow[flight.flow_id] = (
-                self._latency_sum_by_flow.get(flight.flow_id, 0.0) + flight.latency
+            flow_id = flight.flow_id
+            self._delivered_by_flow[flow_id] += 1
+            self._latency_sum_by_flow[flow_id] = (
+                self._latency_sum_by_flow.get(flow_id, 0.0) + flight.latency
             )
-            path = flight.path
-            self.paths_by_flow.setdefault(flight.flow_id, Counter())[path] += 1
+            paths = self.paths_by_flow.get(flow_id)
+            if paths is None:
+                paths = self.paths_by_flow[flow_id] = Counter()
+            paths[flight.path] += 1
         for hop in flight.hops:
             if hop.kind == "queue" and hop.t_out is not None:
                 self._hop_visits[hop.node] += 1
@@ -424,6 +423,10 @@ class FlightIndex(FlightSink):
         return [f for f in self.flights if f.flow_id == flow_id]
 
 
+#: Open-flight list length below which sealed packets are never swept.
+_SWEEP_FLOOR = 4096
+
+
 class FlightRecorder:
     """Coordinates in-band hop recording and flight completion fan-out.
 
@@ -438,9 +441,11 @@ class FlightRecorder:
         self.flights_completed = 0
         # Armed packets whose flights are still open, so :meth:`finalize`
         # can seal in-flight history at end of run instead of dropping it.
-        # Compacted in :meth:`start`, so it tracks the true in-flight set
+        # Compacted in :meth:`_track`, so it tracks the true in-flight set
         # (plus recently sealed stragglers), not every packet ever armed.
         self._open: List = []
+        self._compact_at = _SWEEP_FLOOR
+        self.compactions = 0
 
     def attach(self, sink: FlightSink) -> FlightSink:
         self._sinks.append(sink)
@@ -462,10 +467,7 @@ class FlightRecorder:
     def start(self, packet, now: float) -> None:
         """Arm a packet with an empty flight header (called at injection)."""
         packet.flight = [HopRecord("host", packet.src, now)]
-        open_packets = self._open
-        open_packets.append(packet)
-        if len(open_packets) > 4096:
-            self._open = [p for p in open_packets if p.flight is not None]
+        self._track(packet)
 
     def begin_segment(self, packet, now: float, node: str, corr: str) -> None:
         """Re-arm a packet imported across a shard cut.
@@ -475,14 +477,23 @@ class FlightRecorder:
         chain the two back into one end-to-end flight.
         """
         packet.flight = [HopRecord("cut", node, now, corr=corr)]
+        self._track(packet)
+
+    def _track(self, packet) -> None:
+        """Remember an armed packet for :meth:`finalize`. Sealed packets
+        are swept out only once the list has doubled since the last
+        sweep's survivors, so the sweep stays amortized O(1) per packet
+        however many are genuinely in flight."""
         open_packets = self._open
         open_packets.append(packet)
-        if len(open_packets) > 4096:
+        if len(open_packets) > self._compact_at:
             self._open = [p for p in open_packets if p.flight is not None]
+            self._compact_at = max(_SWEEP_FLOOR, 2 * len(self._open))
+            self.compactions += 1
 
     def queue_hop(self, packet, node: str, now: float, depth: float) -> HopRecord:
         """Record acceptance into a physical queue; returns the open hop."""
-        hop = HopRecord("queue", node, now, depth=depth)
+        hop = HopRecord("queue", node, now, None, depth)
         packet.flight.append(hop)
         return hop
 
@@ -542,18 +553,10 @@ class FlightRecorder:
             return None
         packet.flight = None
         flight = Flight(
-            packet_id=packet.packet_id,
-            flow_id=packet.flow_id,
-            src=packet.src,
-            dst=packet.dst,
-            kind=packet.kind,
-            size=packet.size,
-            status=status,
-            t_start=hops[0].t_in if hops else now,
-            t_end=now,
-            hops=hops,
-            end_node=node,
-            retransmission=bool(getattr(packet, "retransmission", False)),
+            packet.packet_id, packet.flow_id, packet.src, packet.dst,
+            packet.kind, packet.size, status,
+            hops[0].t_in if hops else now, now, hops, node,
+            bool(packet.retransmission),
         )
         self.flights_completed += 1
         for sink in self._sinks:
@@ -593,6 +596,7 @@ class FlightRecorder:
             self.complete(packet, t_end, status)
             sealed += 1
         self._open = []
+        self._compact_at = _SWEEP_FLOOR
         return sealed
 
     def close(self) -> None:
@@ -601,19 +605,23 @@ class FlightRecorder:
             sink.close()
 
 
-def read_flights_jsonl(path: str) -> Iterator[Flight]:
-    """Stream flights back from a :class:`JsonlFlightSink` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if data.get("type") == "ring_meta":
-                # Bounded-sink header: the file holds only the newest
-                # ``max_flights`` flights; not a flight itself.
-                continue
-            yield Flight.from_dict(data)
+def _parse_flight(data: dict) -> Optional[Flight]:
+    if data.get("type") == "ring_meta":
+        # Bounded-sink header: the file holds only the newest
+        # ``max_flights`` flights; not a flight itself.
+        return None
+    return Flight.from_dict(data)
+
+
+def read_flights_jsonl(
+    path: str,
+    *,
+    strict: bool = True,
+    on_skip: Optional[Callable[[int, str], None]] = None,
+) -> Iterator[Flight]:
+    """Stream flights back from a :class:`JsonlFlightSink` file; bad lines
+    raise or are skipped exactly as in :func:`~repro.obs.tracebus.read_jsonl`."""
+    return read_records(path, _parse_flight, "flights JSONL", strict, on_skip)
 
 
 def journey_key(flight: Flight) -> tuple:
@@ -703,7 +711,5 @@ def stitch_flight_dumps(
     ))
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
-            for flight in stitched:
-                fh.write(json.dumps(flight.to_dict(), separators=(",", ":")))
-                fh.write("\n")
+            fh.writelines(map(encode_flight, stitched))
     return stitched

@@ -36,6 +36,7 @@ import os
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from .codec import dumps_compact
 
 MANIFEST_NAME = "manifest.json"
 SCHEMA = "fabric-run/1"
@@ -176,8 +177,7 @@ class RunLedger:
             )
 
         def append(frame: dict) -> None:
-            self._health_fh.write(json.dumps(frame, separators=(",", ":")))
-            self._health_fh.write("\n")
+            self._health_fh.write(dumps_compact(frame) + "\n")
             self._health_fh.flush()
             self.health_frames += 1
 

@@ -51,6 +51,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from .codec import dumps_compact
 
 #: Default window duration in (simulated) seconds.
 DEFAULT_WINDOW_S = 1e-3
@@ -899,8 +900,7 @@ class TimeWindowRecorder(WindowQueryAPI):
         fh = open(destination, "w", encoding="utf-8") if owns else destination
         written = 0
         try:
-            fh.write(json.dumps(self.config_dict(), separators=(",", ":")))
-            fh.write("\n")
+            fh.write(dumps_compact(self.config_dict()) + "\n")
             for name in self.ports():
                 record = self._ports[name]
                 horizon, evicted = self.eviction_horizon(name)
@@ -913,11 +913,9 @@ class TimeWindowRecorder(WindowQueryAPI):
                     "first_seq": record.first_seq,
                     "oldest_retained_seq": horizon,
                 }
-                fh.write(json.dumps(meta, separators=(",", ":")))
-                fh.write("\n")
+                fh.write(dumps_compact(meta) + "\n")
                 for view in self.views(name):
-                    fh.write(json.dumps(view.to_dict(), separators=(",", ":")))
-                    fh.write("\n")
+                    fh.write(dumps_compact(view.to_dict()) + "\n")
                     written += 1
         finally:
             if owns:
@@ -1011,16 +1009,13 @@ class WindowStore(WindowQueryAPI):
         fh = open(destination, "w", encoding="utf-8") if owns else destination
         written = 0
         try:
-            fh.write(json.dumps(self.config_dict(), separators=(",", ":")))
-            fh.write("\n")
+            fh.write(dumps_compact(self.config_dict()) + "\n")
             for name in self.ports():
                 meta = self._meta.get(name)
                 if meta is not None:
-                    fh.write(json.dumps(meta, separators=(",", ":")))
-                    fh.write("\n")
+                    fh.write(dumps_compact(meta) + "\n")
                 for view in self._views[name]:
-                    fh.write(json.dumps(view.to_dict(), separators=(",", ":")))
-                    fh.write("\n")
+                    fh.write(dumps_compact(view.to_dict()) + "\n")
                     written += 1
         finally:
             if owns:

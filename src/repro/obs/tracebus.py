@@ -18,12 +18,12 @@ Three sinks ship with the bus:
 
 from __future__ import annotations
 
-import json
 from collections import Counter as _TallyCounter
 from collections import deque
 from typing import IO, Callable, Deque, Iterator, List, Optional, Union
 
 from ..errors import ConfigurationError
+from .codec import encode_event, read_records
 from .events import TraceEvent
 
 
@@ -71,13 +71,16 @@ class JsonlSink(TraceSink):
             self._fh = destination
             self._owns_fh = False
         self.events_written = 0
+        self._closed = False
 
     def handle(self, event: TraceEvent) -> None:
-        self._fh.write(json.dumps(event.to_dict(), separators=(",", ":")))
-        self._fh.write("\n")
+        self._fh.write(encode_event(event))
         self.events_written += 1
 
     def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
         self._fh.flush()
         if self._owns_fh:
             self._fh.close()
@@ -159,8 +162,14 @@ class TraceBus:
         value: Optional[float] = None,
         reason: Optional[str] = None,
     ) -> None:
-        """Convenience wrapper so hot-path call sites stay one line."""
-        self.emit(TraceEvent(type, time, node, flow_id, aq_id, size, value, reason))
+        """Hot-path entry: call sites stay one line, and a bus with no
+        sinks (the fabric's default-on plane) only counts the event."""
+        self.events_published += 1
+        sinks = self._sinks
+        if sinks:
+            event = TraceEvent(type, time, node, flow_id, aq_id, size, value, reason)
+            for sink in sinks:
+                sink.handle(event)
 
     def close(self) -> None:
         for sink in self._sinks:
@@ -182,22 +191,4 @@ def read_jsonl(
     is called for each so callers can warn. I/O errors (missing or
     unreadable file) always propagate as :class:`OSError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise KeyError("not a JSON object")
-                event = TraceEvent.from_dict(data)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                if strict:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: invalid JSONL trace line: {exc}"
-                    ) from exc
-                if on_skip is not None:
-                    on_skip(lineno, str(exc))
-                continue
-            yield event
+    return read_records(path, TraceEvent.from_dict, "JSONL trace", strict, on_skip)

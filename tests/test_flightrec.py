@@ -12,6 +12,8 @@ interchange, plus the integration properties the ISSUE pins down:
 
 import pytest
 
+from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.harness.common import EntitySpec
 from repro.harness.runner import JobResult, results_digest
 from repro.harness.scenarios import run_longlived_share
@@ -22,6 +24,7 @@ from repro.obs import (
     FlightRecorder,
     Telemetry,
     read_flights_jsonl,
+    stitch_flight_dumps,
 )
 from repro.obs.flightrec import HopRecord, JsonlFlightSink
 from repro.units import gbps
@@ -154,6 +157,83 @@ class TestFlightRecorder:
                                   0.0, 1.0, []))
         sink.close()
         assert sink.flights_written == 1
+
+    def test_open_flight_sweep_is_amortized(self):
+        # 20k packets that never complete: a fixed sweep threshold would
+        # rebuild the open list on every start() past 4096 (quadratic);
+        # doubling keeps it to a handful of sweeps.
+        rec = FlightRecorder()
+        packets = [self._packet() for _ in range(20_000)]
+        for packet in packets:
+            rec.start(packet, 0.0)
+        assert rec.compactions <= 4
+        assert rec.finalize() == 20_000
+        assert rec.index.unfinished == 20_000
+        assert all(p.flight is None for p in packets)
+
+    def test_open_flight_sweep_still_drops_sealed_packets(self):
+        rec = FlightRecorder()
+        for _ in range(20_000):
+            packet = self._packet()
+            rec.start(packet, 0.0)
+            rec.complete(packet, 1e-5, "delivered")
+        assert rec.compactions >= 4
+        assert len(rec._open) <= 4097
+        assert rec.finalize() == 0
+
+
+class TestTornFlightDumps:
+    """A killed ``--flight-record`` run leaves a truncated final line."""
+
+    @pytest.fixture
+    def torn(self, tmp_path):
+        path = str(tmp_path / "flights.jsonl")
+        rec = FlightRecorder()
+        rec.add_jsonl(path)
+        for i in range(3):
+            packet = make_data("h0", "h1", flow_id=i, seq=0, size=1000)
+            rec.start(packet, 0.0)
+            rec.complete(packet, 1e-3, "delivered", node="h1")
+        rec.close()
+        with open(path, "r+", encoding="utf-8") as fh:
+            text = fh.read()
+            fh.seek(0)
+            fh.truncate()
+            fh.write(text[:-40])
+        return path
+
+    def test_strict_names_path_and_line(self, torn):
+        with pytest.raises(ConfigurationError, match=r"flights\.jsonl:3"):
+            list(read_flights_jsonl(torn))
+
+    def test_tolerant_skips_and_reports(self, torn):
+        skipped = []
+        flights = list(read_flights_jsonl(
+            torn, strict=False, on_skip=lambda lineno, detail: skipped.append(lineno),
+        ))
+        assert [f.flow_id for f in flights] == [0, 1]
+        assert skipped == [3]
+
+    def test_tolerant_skips_non_flight_records(self, tmp_path):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(
+            '[1,2]\n'                  # not an object
+            '{"flow_id":1}\n'          # missing required keys
+            '{"packet_id":1,"flow_id":2,"status":"x","hops":[3]}\n'  # hop not an object
+        )
+        assert list(read_flights_jsonl(str(path), strict=False)) == []
+
+    def test_stitch_stays_strict(self, torn):
+        with pytest.raises(ConfigurationError, match="flights.jsonl:3"):
+            stitch_flight_dumps([torn])
+
+    def test_cli_warns_once_with_the_count(self, torn, capsys):
+        assert main(["telemetry", "flights", torn]) == 0
+        captured = capsys.readouterr()
+        assert "2 flights: 2 delivered" in captured.out
+        warnings = [ln for ln in captured.err.splitlines() if "warning" in ln]
+        assert len(warnings) == 1
+        assert "skipped 1 bad line(s)" in warnings[0]
 
 
 class TestFlightIndex:

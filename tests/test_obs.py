@@ -17,6 +17,7 @@ from repro.harness.scenarios import run_cc_pair
 from repro.obs import (
     ALL_EVENT_TYPES,
     AUDIT_EVENT_TYPES,
+    AuditError,
     CORE_EVENT_TYPES,
     EV_CWND_CHANGE,
     EV_DEQUEUE,
@@ -26,6 +27,7 @@ from repro.obs import (
     JsonlSink,
     MetricsRegistry,
     RingBufferSink,
+    RunAuditor,
     SimProfiler,
     SummarySink,
     Telemetry,
@@ -33,6 +35,7 @@ from repro.obs import (
     TraceEvent,
     get_active_telemetry,
     read_jsonl,
+    tracebus,
 )
 from repro.sim.engine import Simulator
 from repro.units import gbps
@@ -236,6 +239,58 @@ class TestSinks:
         assert bus.events_published == 2
         assert len(ring.events) == 1
         assert summary.count(EV_DROP) == 2
+
+    def test_owned_jsonl_sink_closes_twice(self, tmp_path):
+        # Telemetry.close() is documented "safe to call twice".
+        path = str(tmp_path / "trace.jsonl")
+        tele = Telemetry(enabled=True)
+        tele.add_jsonl(path)
+        tele.trace.emit_fields(EV_DROP, 0.5)
+        tele.close()
+        tele.close()
+        assert [e.type for e in read_jsonl(path)] == ["drop"]
+
+
+class TestBusDispatch:
+    """What ``emit_fields`` promises its sinks, and what it skips without any."""
+
+    def test_sinkless_bus_counts_but_builds_no_event(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            tracebus, "TraceEvent", lambda *fields: built.append(fields) or TraceEvent(*fields)
+        )
+        bus = TraceBus()
+        bus.emit_fields(EV_DROP, 0.1, node="q")
+        assert bus.events_published == 1 and built == []
+        ring = bus.attach(RingBufferSink())
+        bus.emit_fields(EV_DROP, 0.2, node="q", reason="buffer")
+        assert bus.events_published == 2 and len(built) == 1
+        assert ring.events[0].to_dict() == {
+            "type": "drop", "time": 0.2, "node": "q", "reason": "buffer",
+        }
+
+    def test_attach_and_detach_apply_from_the_next_emit(self):
+        bus = TraceBus()
+        bus.emit_fields(EV_DROP, 0.1)
+        ring = bus.attach(RingBufferSink())
+        bus.emit_fields(EV_DROP, 0.2)
+        bus.detach(ring)
+        bus.emit_fields(EV_DROP, 0.3)
+        assert not bus.has_sinks
+        assert [e.time for e in ring.events] == [0.2]
+        assert bus.events_published == 3
+
+    def test_sinks_observe_each_event_inside_the_emitting_call(self):
+        bus = TraceBus()
+        ring = bus.attach(RingBufferSink())
+        auditor = bus.attach(RunAuditor(strict=True))
+        bus.emit_fields(EV_ENQUEUE, 0.1, node="q", size=100, value=100.0)
+        assert ring.total_seen == 1 and auditor.events_seen == 1
+        # A strict auditor raises out of the emit that broke the invariant,
+        # after the ring (attached first) has already seen the event.
+        with pytest.raises(AuditError, match="queue_conservation"):
+            bus.emit_fields(EV_ENQUEUE, 0.2, node="q", size=100, value=999.0)
+        assert ring.total_seen == 2 and ring.events[-1].value == 999.0
 
 
 # -- telemetry facade --------------------------------------------------------------
