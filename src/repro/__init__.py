@@ -93,7 +93,6 @@ from .sim.engine import Event, PeriodicTask, Simulator
 from .stats.fct import FctCollector
 from .stats.meters import CompletionTracker, ThroughputMeter, percentile
 from .stats.fairness import entity_fairness, jain_index
-from .stats.trace import PacketTrace
 from .topology.base import Network, QueueConfig
 from .topology.dumbbell import Dumbbell, DumbbellConfig
 from .topology.leafspine import LeafSpine, LeafSpineConfig
@@ -170,7 +169,6 @@ __all__ = [
     "entity_fairness",
     "jain_index",
     "FctCollector",
-    "PacketTrace",
     # observability
     "Telemetry",
     "MetricsRegistry",

@@ -13,7 +13,7 @@ from typing import Optional
 from ..cc.base import DELAY_BASED, ECN_BASED
 from ..errors import ConfigurationError
 from ..net.packet import Packet
-from ..obs.events import EV_AGAP_UPDATE, EV_AQ_RATE, EV_ECN_MARK, EV_RATE_LIMIT
+from ..obs.probe import bind_probe
 from .agap import AGapTracker
 from .feedback import FeedbackPolicy, drop_policy
 
@@ -65,8 +65,8 @@ class AugmentedQueue:
         :mod:`repro.core.feedback`.
     entity / telemetry:
         Observability identity and handle. With enabled telemetry the AQ
-        emits ``agap_update`` / ``rate_limit`` / ``ecn_mark`` trace
-        events and publishes its counters into the metrics registry.
+        reports every decision (and rate change) to its probe and
+        publishes its counters into the metrics registry.
     """
 
     def __init__(
@@ -94,21 +94,14 @@ class AugmentedQueue:
         #: Deployment position ("ingress"/"egress"), stamped by
         #: :meth:`repro.core.pipeline.AqPipeline.deploy` for drop attribution.
         self.position = ""
-        self._tele = telemetry if telemetry is not None and telemetry.enabled else None
-        self._flight = self._tele.flightrec if self._tele is not None else None
-        tw = self._tele.timewin if self._tele is not None else None
-        #: Window-recorder node label: the virtual queue is attributed like
-        #: a port, with the A-Gap standing in for physical backlog. The
-        #: handle binds the label once so the admit path skips the lookup.
-        self._timewin_node = f"aq{aq_id}" if not entity else f"aq{aq_id}:{entity}"
-        self._timewin = (
-            tw.port_handle(self._timewin_node) if tw is not None else None
+        # The virtual queue is windowed like a port, with the A-Gap
+        # standing in for physical backlog.
+        self._probe = bind_probe(
+            telemetry, entity,
+            window=f"aq{aq_id}:{entity}" if entity else f"aq{aq_id}",
         )
-        #: Last rate announced on the trace (``aq_rate`` events let the run
-        #: auditor replay the Theorem 3.2 recurrence with the right R).
-        self._traced_rate: Optional[float] = None
-        if self._tele is not None:
-            self._tele.metrics.add_collector(self._collect_metrics)
+        if self._probe is not None:
+            telemetry.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry) -> None:
         stats = self.stats
@@ -135,10 +128,8 @@ class AugmentedQueue:
     def set_rate(self, now: float, rate_bps: float) -> None:
         """Weighted-mode rate update from the controller."""
         self.tracker.set_rate(now, rate_bps)
-        tele = self._tele
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(EV_AQ_RATE, now, aq_id=self.aq_id, value=rate_bps)
-            self._traced_rate = rate_bps
+        if self._probe is not None:
+            self._probe.aq_rate(now, self.aq_id, rate_bps)
 
     @property
     def gap_bytes(self) -> float:
@@ -153,14 +144,8 @@ class AugmentedQueue:
         """Emit an ``aq_rate`` event so the auditor's Theorem 3.2 replay
         knows the drain rate in force before the first analytic epoch
         (mirrors the lazy per-packet announce in :meth:`process`)."""
-        tele = self._tele
-        if tele is None or not tele.enabled:
-            return
-        if self._traced_rate != self.tracker.rate_bps:
-            self._traced_rate = self.tracker.rate_bps
-            tele.trace.emit_fields(
-                EV_AQ_RATE, now, aq_id=self.aq_id, value=self._traced_rate
-            )
+        if self._probe is not None:
+            self._probe.aq_rate_if_changed(now, self.aq_id, self.tracker.rate_bps)
 
     def fluid_advance(
         self,
@@ -201,60 +186,28 @@ class AugmentedQueue:
         gap = self.tracker.on_arrival(now, packet.size)
         if gap > stats.max_gap:
             stats.max_gap = gap
-        tele = self._tele
-        trace = tele.trace if tele is not None and tele.enabled else None
-        if trace is not None:
-            if self._traced_rate != self.tracker.rate_bps:
-                # Announce R lazily so the auditor's Theorem 3.2 replay
-                # always knows the drain rate in force for the next interval.
-                self._traced_rate = self.tracker.rate_bps
-                trace.emit_fields(
-                    EV_AQ_RATE, now, aq_id=self.aq_id, value=self._traced_rate
-                )
-            trace.emit_fields(
-                EV_AGAP_UPDATE, now, aq_id=self.aq_id,
-                flow_id=packet.flow_id, size=packet.size, value=gap,
-            )
+        probe = self._probe
         if gap > self.limit_bytes:
             self.tracker.undo_arrival(packet.size)
             stats.dropped_packets += 1
             stats.dropped_bytes += packet.size
-            if trace is not None:
-                trace.emit_fields(
-                    EV_RATE_LIMIT, now, aq_id=self.aq_id,
-                    flow_id=packet.flow_id, size=packet.size, value=gap,
-                    reason="rate_limit",
-                )
-            fr = self._flight
-            if fr is not None and packet.flight is not None:
-                fr.aq_hop(
-                    packet, self.entity, now, self.aq_id, self.position,
-                    agap=gap, limit=self.limit_bytes, ecn=False, dropped=True,
-                )
-            tw = self._timewin
-            if tw is not None:
-                tw.on_drop(packet.flow_id, self.aq_id, packet.size, now)
+            if probe is not None:
+                probe.aq_decision(self, packet, now, gap, dropped=True, marked=False)
             return False
-        tw = self._timewin
-        if tw is not None:
-            # Who is building this *virtual* queue: the accepted packet's
-            # flow, with the post-arrival A-Gap as the depth sample.
-            tw.on_enqueue(packet.flow_id, self.aq_id, packet.size, gap, now)
         if self.record_delays:
             stats.delay_samples.append(self.tracker.virtual_queuing_delay())
+        marked = False
         kind = self.policy.kind
         if kind == ECN_BASED:
             threshold = self.policy.ecn_threshold_bytes
             if threshold is not None and gap > threshold and packet.ect:
                 packet.mark_ce()
                 stats.marked_packets += 1
-                if trace is not None:
-                    trace.emit_fields(
-                        EV_ECN_MARK, now, aq_id=self.aq_id,
-                        flow_id=packet.flow_id, size=packet.size, value=gap,
-                    )
+                marked = True
         elif kind == DELAY_BASED:
             packet.virtual_delay += self.tracker.virtual_queuing_delay()
+        if probe is not None:
+            probe.aq_decision(self, packet, now, gap, dropped=False, marked=marked)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

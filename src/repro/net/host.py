@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Protocol
 
 from ..errors import ConfigurationError, RoutingError
-from ..obs.events import EV_DELIVER, EV_HOST_SEND
+from ..obs.probe import bind_probe
 from ..queues.fifo import PhysicalFifoQueue
 from .link import Link, Transmitter
 from .packet import Packet
@@ -49,9 +49,7 @@ class Host:
         self._nic_queue = PhysicalFifoQueue(
             nic_buffer_bytes, name=f"{name}.nic", telemetry=sim.telemetry
         )
-        tele = sim.telemetry
-        self._tele = tele if tele is not None and tele.enabled else None
-        self._flight = self._tele.flightrec if self._tele is not None else None
+        self._probe = bind_probe(sim.telemetry, name)
         #: Packets the NIC queue refused at enqueue (host egress drops).
         self.nic_dropped_packets = 0
         self._transmitter: Optional[Transmitter] = None
@@ -107,15 +105,8 @@ class Host:
         """
         if self.on_transmit is not None:
             self.on_transmit(packet)
-        tele = self._tele
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(
-                EV_HOST_SEND, self.sim.now, node=self.name,
-                flow_id=packet.flow_id, size=packet.size,
-            )
-            fr = self._flight
-            if fr is not None:
-                fr.start(packet, self.sim.now)
+        if self._probe is not None:
+            self._probe.sent(packet, self.sim.now)
         if not self.transmitter.offer(packet):
             self.nic_dropped_packets += 1
 
@@ -142,12 +133,9 @@ class Host:
                 f"packet for {packet.dst} delivered to host {self.name}"
             )
         now = self.sim.now
-        tele = self._tele
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(
-                EV_DELIVER, now, node=self.name,
-                flow_id=packet.flow_id, size=packet.size,
-            )
+        probe = self._probe
+        if probe is not None:
+            probe.delivered(packet, now)
         for tap in self.receive_taps:
             tap(packet, now)
         endpoint = self._endpoints.get(packet.flow_id, self._default_endpoint)
@@ -157,6 +145,5 @@ class Host:
         # RST-ing a stale connection; tests assert on endpoint coverage.
         # The flight completes *after* endpoint dispatch so receivers can
         # still read the in-band header (to build the ACK digest echo).
-        fr = self._flight
-        if fr is not None and packet.flight is not None:
-            fr.complete(packet, now, "delivered", node=self.name)
+        if probe is not None:
+            probe.sealed(packet, now, "delivered")

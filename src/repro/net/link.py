@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..errors import ConfigurationError
-from ..obs.events import EV_DROP
+from ..obs.probe import bind_probe
 from ..units import transmission_time
 from .packet import Packet
 
@@ -63,6 +63,7 @@ class Link:
         "_down",
         "_corrupt_prob",
         "_corrupt_rng",
+        "_probe",
     )
 
     def __init__(
@@ -90,9 +91,9 @@ class Link:
         self._down = False
         self._corrupt_prob = 0.0
         self._corrupt_rng = None
-        tele = sim.telemetry
-        if tele is not None and tele.enabled and name:
-            tele.metrics.add_collector(self._collect_metrics)
+        self._probe = bind_probe(sim.telemetry, name or "link")
+        if self._probe is not None and name:
+            sim.telemetry.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry) -> None:
         stats = self.stats
@@ -154,23 +155,13 @@ class Link:
             reason = "corrupt"
         else:
             return False
-        now = self.sim.now
         stats = self.stats
         stats.dropped_packets += 1
         stats.dropped_bytes += packet.size
         if reason == "corrupt":
             stats.corrupted_packets += 1
-        node = self.name or "link"
-        tele = self.sim.telemetry
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(
-                EV_DROP, now, node=node, flow_id=packet.flow_id,
-                size=packet.size, reason=reason,
-            )
-            fr = tele.flightrec
-            if fr is not None and packet.flight is not None:
-                fr.drop_hop(packet, node, now, reason)
-                fr.complete(packet, now, "dropped", node=node)
+        if self._probe is not None:
+            self._probe.dropped(packet, self.sim.now, reason)
         return True
 
     def deliver(self, packet: Packet) -> None:
@@ -305,10 +296,7 @@ class Transmitter:
         self.link = link
         self.egress_hooks: List[PipelineHook] = list(egress_hooks or [])
         self.name = name
-        tele = sim.telemetry
-        self._flight = (
-            tele.flightrec if tele is not None and tele.enabled else None
-        )
+        self._probe = bind_probe(sim.telemetry, name)
         self._busy = False
         #: Absolute sim time when the in-flight packet leaves the line.
         self._tx_end = 0.0
@@ -407,9 +395,8 @@ class Transmitter:
             if not hook(packet, now):
                 # Egress discard (an egress-position AQ limit-drop): the
                 # hook recorded why, the port name says where.
-                fr = self._flight
-                if fr is not None and packet.flight is not None:
-                    fr.complete(packet, now, "dropped", node=self.name)
+                if self._probe is not None:
+                    self._probe.sealed(packet, now, "dropped")
                 return False
         return True
 

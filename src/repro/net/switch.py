@@ -14,9 +14,10 @@ Forwarding is static next-hop routing installed by the topology builder.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError, RoutingError
+from ..obs.probe import bind_probe
 from ..queues.base import QueueDiscipline
 from .link import Link, PipelineHook, Transmitter
 from .packet import Packet
@@ -70,16 +71,9 @@ class Switch:
         self._routes: Dict[str, SwitchPort] = {}
         self.ingress_hooks: List[PipelineHook] = []
         self.stats = SwitchStats()
-        #: Observers called for every packet accepted for forwarding.
-        self.taps: List[Callable[[Packet], None]] = []
-        tele = sim.telemetry
-        if tele is not None and tele.enabled:
-            tele.metrics.add_collector(self._collect_metrics)
-            self._flight = tele.flightrec
-            self._timewin = tele.timewin
-        else:
-            self._flight = None
-            self._timewin = None
+        self._probe = bind_probe(sim.telemetry, name)
+        if self._probe is not None:
+            sim.telemetry.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry) -> None:
         stats = self.stats
@@ -110,17 +104,17 @@ class Switch:
             raise ConfigurationError(f"switch {self.name} already has port {port_name}")
         port = SwitchPort(self.sim, f"{self.name}.{port_name}", queue, link)
         self.ports[port_name] = port
-        if self._timewin is not None:
+        if self._probe is not None:
             # Pre-register under the port's wire name so idle ports answer
             # window queries as empty rather than unknown. Queues built
             # with their own name register themselves too; an unnamed
             # queue's traffic still lands under that name only if the
             # queue was constructed with it, which the topology builders
             # guarantee.
-            self._timewin.register_port(port.name)
+            self._probe.register_port(port.name)
             queue_name = getattr(queue, "name", "")
             if queue_name:
-                self._timewin.register_port(queue_name)
+                self._probe.register_port(queue_name)
         return port
 
     def add_route(self, dst: str, port_name: str) -> None:
@@ -142,9 +136,6 @@ class Switch:
 
     def add_ingress_hook(self, hook: PipelineHook) -> None:
         self.ingress_hooks.append(hook)
-
-    def add_tap(self, tap: Callable[[Packet], None]) -> None:
-        self.taps.append(tap)
 
     # -- fault injection ---------------------------------------------------------
 
@@ -186,13 +177,10 @@ class Switch:
                 # hook recorded *why*; the switch knows *where*, so it seals
                 # the flight with its own name as the drop site.
                 self.stats.ingress_dropped_packets += 1
-                fr = self._flight
-                if fr is not None and packet.flight is not None:
-                    fr.complete(packet, now, "dropped", node=self.name)
+                if self._probe is not None:
+                    self._probe.sealed(packet, now, "dropped")
                 return
         port = self.route_for(packet.dst, packet)
-        for tap in self.taps:
-            tap(packet)
         self.stats.forwarded_packets += 1
         if not port.transmitter.offer(packet):
             # The queue discipline refused the packet: an egress drop. The

@@ -2,12 +2,15 @@
 
 See DESIGN.md's "Observability" section for the architecture; the short
 version: pull-based metrics (collectors run at snapshot time), push-based
-typed trace events (guarded by one ``enabled`` check), and an optional
-run-loop profiler — all bundled in a :class:`Telemetry` object carried by
-the simulator. Two heavier opt-in layers ride on the same guard: the INT
-flight recorder (:mod:`repro.obs.flightrec`) piggybacks per-hop records
-on packets, and the conservation-law auditor (:mod:`repro.obs.audit`)
-re-derives the data plane's bookkeeping from the trace stream.
+typed trace events, and an optional run-loop profiler — all bundled in a
+:class:`Telemetry` object carried by the simulator. The packet path
+reports through one seam, the construction-bound probe of
+:mod:`repro.obs.probe`, which also feeds the heavier opt-in layers: the
+INT flight recorder (:mod:`repro.obs.flightrec`) piggybacks per-hop
+records on packets, the time windows (:mod:`repro.obs.timewin`) attribute
+queue depth in fixed memory, and the conservation-law auditor
+(:mod:`repro.obs.audit`) re-derives the data plane's bookkeeping from the
+trace stream.
 """
 
 from .audit import AuditError, AuditViolation, RunAuditor

@@ -20,10 +20,10 @@ attribution ("dropped at s0.p1 by AQ 7 rate-limit (ingress), A=1.2MB >
 limit 1.0MB"). :class:`JsonlFlightSink`/:func:`read_flights_jsonl` are
 the file interchange pair behind ``repro telemetry flights``.
 
-Hot-path contract: components cache ``self._flight`` (the recorder or
-``None``) at construction, so with recording disabled the added cost is
-one attribute load + branch per site — the same discipline as the
-TraceBus ``enabled`` guard.
+Hot-path contract: components never call the recorder themselves — their
+:class:`~repro.obs.probe.Probe` captures it (or ``None``) when it is bound
+at construction, so the recorder must be installed before the network is
+built.
 """
 
 from __future__ import annotations
@@ -431,8 +431,8 @@ class FlightRecorder:
     """Coordinates in-band hop recording and flight completion fan-out.
 
     Install via :meth:`repro.obs.telemetry.Telemetry.enable_flight_recording`
-    *before* building the network — components cache the recorder at
-    construction time, exactly like the TraceBus guard.
+    *before* building the network — probes capture the recorder when
+    they are bound, at component construction.
     """
 
     def __init__(self, index: Optional[FlightIndex] = None) -> None:

@@ -3,16 +3,18 @@
 A :class:`Telemetry` instance is what flows through the simulation — the
 :class:`~repro.sim.engine.Simulator` holds one, components reach it via
 ``sim.telemetry`` (or receive it explicitly, e.g. queues built before a
-simulator exists), and the hot-path contract is a single check::
-
-    tele = self._tele
-    if tele is not None and tele.enabled:
-        tele.trace.emit_fields(...)
+simulator exists). Packet-path components do not call it per packet: they
+bind one :class:`~repro.obs.probe.Probe` at construction
+(:func:`~repro.obs.probe.bind_probe`) and report *what happened* to it;
+the table in :mod:`repro.obs.probe` maps each probe call to the trace
+event, flight hop and window hook it becomes, and carries the recipe for
+instrumenting a new queue discipline.
 
 Disabled is the default: a fresh simulator gets a disabled, sink-less
-``Telemetry`` so instrumented call sites cost one attribute load and one
-branch. Because enabling toggles a flag on the *same object* (never a
-swap), components may cache the reference forever.
+``Telemetry``, ``bind_probe`` then returns ``None``, and an instrumented
+call site costs one identity check. Enable telemetry — and install the
+flight and window recorders — *before* building the network: a component
+built under disabled telemetry stays uninstrumented.
 
 For code paths that build their own :class:`Network`/:class:`Simulator`
 internally (every harness scenario does), :meth:`Telemetry.activate`
@@ -51,7 +53,7 @@ class Telemetry:
         self.trace = TraceBus()
         self.profiler: Optional[SimProfiler] = SimProfiler() if profile else None
         #: In-band flight recorder; install with :meth:`enable_flight_recording`
-        #: *before* building the network (components cache the reference).
+        #: *before* building the network (probes capture the reference).
         self.flightrec: Optional[FlightRecorder] = None
         #: Conservation-law auditor; install with :meth:`enable_audit`.
         self.auditor: Optional[RunAuditor] = None
@@ -63,10 +65,6 @@ class Telemetry:
 
     def enable(self) -> "Telemetry":
         self.enabled = True
-        return self
-
-    def disable(self) -> "Telemetry":
-        self.enabled = False
         return self
 
     def enable_profiling(self) -> SimProfiler:
@@ -81,9 +79,8 @@ class Telemetry:
     ) -> FlightRecorder:
         """Install (and return) the INT flight recorder; implies ``enable()``.
 
-        Must run before the network is built — data-plane components cache
-        ``telemetry.flightrec`` at construction, mirroring the TraceBus
-        guard. ``jsonl_path`` additionally streams completed flights to a
+        Must run before the network is built — a component's probe
+        captures ``telemetry.flightrec`` when it is bound. ``jsonl_path`` additionally streams completed flights to a
         file readable by ``repro telemetry flights``; ``max_flights``
         bounds that file to the most recent flights (``--flight-max``).
         """
@@ -102,9 +99,8 @@ class Telemetry:
     ) -> TimeWindowRecorder:
         """Install (and return) the time-window recorder; implies ``enable()``.
 
-        Must run before the network is built — data-plane components
-        cache ``telemetry.timewin`` at construction, exactly like the
-        flight recorder. Unlike flight recording, the windows keep fixed
+        Must run before the network is built — a component's probe binds
+        its window port handle when it is bound. Unlike flight recording, the windows keep fixed
         memory per port regardless of run length, so this layer is safe
         to leave always-on. Omitted parameters keep the recorder
         defaults (1 ms windows x 32 retained x 64 flow slots).

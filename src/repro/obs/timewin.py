@@ -599,6 +599,9 @@ class PortHandle:
             window.slot_pkts[index] = 1
             window.touched.append(index)
         else:
+            # Hash collision: the slot keeps its first owner; the newcomer
+            # is charged to the window's collision bucket so per-window
+            # totals still reconcile (and validators know to widen).
             window.collision_bytes += size
             window.collision_pkts += 1
             self._port.collisions += 1
@@ -624,10 +627,9 @@ class TimeWindowRecorder(WindowQueryAPI):
     """Always-on, fixed-memory queue-buildup attribution.
 
     Install via :meth:`repro.obs.telemetry.Telemetry.enable_time_windows`
-    *before* building the network — data-plane components cache a
-    :class:`PortHandle` at construction, exactly like the flight
-    recorder. Every hook is a plain method call guarded by one cached
-    ``is not None`` check at the call site, and recording perturbs
+    *before* building the network — each component's
+    :class:`~repro.obs.probe.Probe` binds its :class:`PortHandle` at
+    construction, exactly like the flight recorder. Recording perturbs
     nothing: no RNG draws, no packet mutation, so runs are digest-
     neutral with the recorder on or off.
     """
@@ -654,7 +656,7 @@ class TimeWindowRecorder(WindowQueryAPI):
         self._mask = self.slots - 1
         self._ports: Dict[str, _PortWindows] = {}
         self._handles: List[PortHandle] = []
-        self.records = 0
+        self._by_name: Dict[str, PortHandle] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -669,10 +671,8 @@ class TimeWindowRecorder(WindowQueryAPI):
         Multiple handles on the same port are fine — they share the
         port's window state and only cache the lookup.
         """
-        port = self._ports.get(name)
-        if port is None:
-            port = self._ports[name] = _PortWindows(name)
-        handle = PortHandle(self, port)
+        self.register_port(name)
+        handle = PortHandle(self, self._ports[name])
         self._handles.append(handle)
         return handle
 
@@ -710,7 +710,16 @@ class TimeWindowRecorder(WindowQueryAPI):
             port.active = _Window(self.slots, seq)
         return port.active
 
-    # -- data-plane hooks --------------------------------------------------
+    # -- data-plane hooks, by port name ------------------------------------
+
+    def _handle(self, port_name: str) -> PortHandle:
+        """The by-name hooks' cached handle: the record path exists once,
+        on :class:`PortHandle`; callers with no component to bind one at
+        construction (trace rebuilds, tests) come through here."""
+        handle = self._by_name.get(port_name)
+        if handle is None:
+            handle = self._by_name[port_name] = self.port_handle(port_name)
+        return handle
 
     def on_enqueue(
         self,
@@ -727,38 +736,7 @@ class TimeWindowRecorder(WindowQueryAPI):
         recorder's queue hops carry, so ground truth lines up exactly);
         ``tenant_id`` is the AQ ingress ID header (0 = untagged).
         """
-        port = self._ports.get(port_name)
-        if port is None:
-            port = self._ports[port_name] = _PortWindows(port_name)
-        seq = int(now / self.window_s)
-        window = port.active
-        if window is None or window.seq != seq:
-            window = self._window_for(port, seq)
-        self.records += 1
-        window.total_bytes += size
-        window.total_pkts += 1
-        if depth > window.high_water:
-            window.high_water = depth
-        tenants = window.tenant_bytes
-        tenants[tenant_id] = tenants.get(tenant_id, 0) + size
-        index = flow_id & self._mask
-        slot_flow = window.slot_flow[index]
-        if slot_flow == flow_id:
-            window.slot_bytes[index] += size
-            window.slot_pkts[index] += 1
-        elif slot_flow == -1:
-            window.slot_flow[index] = flow_id
-            window.slot_tenant[index] = tenant_id
-            window.slot_bytes[index] = size
-            window.slot_pkts[index] = 1
-            window.touched.append(index)
-        else:
-            # Hash collision: the slot keeps its first owner; the newcomer
-            # is charged to the window's collision bucket so per-window
-            # totals still reconcile (and validators know to widen).
-            window.collision_bytes += size
-            window.collision_pkts += 1
-            port.collisions += 1
+        self._handle(port_name).on_enqueue(flow_id, tenant_id, size, depth, now)
 
     def on_depth(self, port_name: str, depth: float, now: float) -> None:
         """Port-level depth sample without flow attribution.
@@ -766,29 +744,13 @@ class TimeWindowRecorder(WindowQueryAPI):
         Multi-queue ports use this to record the *summed* backlog across
         their traffic classes — the per-class high-waters only bound it.
         """
-        port = self._ports.get(port_name)
-        if port is None:
-            port = self._ports[port_name] = _PortWindows(port_name)
-        seq = int(now / self.window_s)
-        window = port.active
-        if window is None or window.seq != seq:
-            window = self._window_for(port, seq)
-        if depth > window.high_water:
-            window.high_water = depth
+        self._handle(port_name).on_depth(depth, now)
 
     def on_drop(
         self, port_name: str, flow_id: int, tenant_id: int, size: int, now: float
     ) -> None:
         """A packet was discarded at ``port_name`` (tail/RED/fault drop)."""
-        port = self._ports.get(port_name)
-        if port is None:
-            port = self._ports[port_name] = _PortWindows(port_name)
-        seq = int(now / self.window_s)
-        window = port.active
-        if window is None or window.seq != seq:
-            window = self._window_for(port, seq)
-        window.dropped_bytes += size
-        window.dropped_pkts += 1
+        self._handle(port_name).on_drop(flow_id, tenant_id, size, now)
 
     # -- WindowQueryAPI ----------------------------------------------------
 
@@ -856,7 +818,7 @@ class TimeWindowRecorder(WindowQueryAPI):
         """Run-level counters (flips, collisions, evictions, memory)."""
         return {
             "ports": len(self._ports),
-            "records": self.records + sum(h.records for h in self._handles),
+            "records": sum(h.records for h in self._handles),
             "flips": sum(p.flips for p in self._ports.values()),
             "collisions": sum(p.collisions for p in self._ports.values()),
             "evicted_windows": sum(p.evicted for p in self._ports.values()),

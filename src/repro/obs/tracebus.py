@@ -1,9 +1,10 @@
 """TraceBus: fan-out of typed events to pluggable sinks.
 
 The bus is the *push* half of the observability layer. Emitting is a
-plain method call — components hold a reference to the bus (or reach it
-via ``sim.telemetry.trace``) and guard emission with the telemetry
-``enabled`` flag so the disabled path costs one attribute check.
+plain method call — packet-path components emit through their
+:class:`~repro.obs.probe.Probe` (``None`` with telemetry off, so the
+disabled path costs one identity check); trace-only sites reach the bus
+via ``sim.telemetry.trace`` behind the telemetry ``enabled`` flag.
 
 Three sinks ship with the bus:
 

@@ -10,10 +10,19 @@ from abc import ABC, abstractmethod
 from typing import Optional
 
 from ..net.packet import Packet
+from ..obs.probe import bind_probe
 
 
 class QueueDiscipline(ABC):
-    """Abstract buffering discipline for an output port."""
+    """Abstract buffering discipline for an output port.
+
+    The base class owns the instrumentation: ``self._probe`` is the
+    discipline's :class:`~repro.obs.probe.Probe` (``None`` with telemetry
+    off). A discipline reports each accept / serve / discard through it —
+    ``enqueued`` / ``dequeued`` / ``dropped``, with the backlog after the
+    operation — and is thereby traced, audited, flight-recorded and
+    windowed under ``name``.
+    """
 
     #: True when the discipline supports bulk fluid accounting — i.e. the
     #: fluid fast path (:mod:`repro.sim.fluid`) can snapshot its per-flow
@@ -22,6 +31,10 @@ class QueueDiscipline(ABC):
     #: closed form cannot reproduce (RED marking, per-flow scheduling)
     #: leave this ``False`` and force packet mode.
     supports_fluid = False
+
+    def __init__(self, name: str = "", telemetry=None) -> None:
+        self.name = name
+        self._probe = bind_probe(telemetry, name, window=name)
 
     @abstractmethod
     def enqueue(self, packet: Packet, now: float) -> bool:

@@ -20,7 +20,6 @@ from typing import Deque, Optional
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet
-from ..obs.events import EV_DEQUEUE, EV_DROP, EV_ECN_MARK, EV_ENQUEUE
 from .base import QueueDiscipline
 
 
@@ -85,10 +84,10 @@ class PhysicalFifoQueue(QueueDiscipline):
         Record per-packet queuing delay (off by default; it allocates).
     name / telemetry:
         Identity and telemetry handle for the observability layer. When
-        the telemetry is enabled at construction time the queue emits
-        ``enqueue``/``dequeue``/``drop``/``ecn_mark`` trace events and
-        registers a metrics collector; otherwise the data path is
-        untouched (one ``is not None`` check).
+        the telemetry is enabled at construction time the queue reports
+        accepts, serves, drops and marks to its probe and registers a
+        metrics collector; otherwise the data path is untouched (one
+        ``is not None`` check).
     """
 
     supports_fluid = True
@@ -103,6 +102,7 @@ class PhysicalFifoQueue(QueueDiscipline):
         name: str = "",
         telemetry=None,
     ) -> None:
+        super().__init__(name, telemetry)
         if limit_bytes <= 0:
             raise ConfigurationError(f"queue limit must be positive, got {limit_bytes}")
         if ecn_threshold_bytes is not None and ecn_threshold_bytes < 0:
@@ -117,17 +117,8 @@ class PhysicalFifoQueue(QueueDiscipline):
         self._queue: Deque[Packet] = deque()
         self._bytes = 0
         self.stats = FifoQueueStats()
-        self.name = name
-        # Only carry an enabled telemetry; a disabled one would still cost
-        # the ``tele.enabled`` load per packet for nothing.
-        self._tele = telemetry if telemetry is not None and telemetry.enabled else None
-        self._flight = self._tele.flightrec if self._tele is not None else None
-        tw = self._tele.timewin if self._tele is not None else None
-        # Bind the port handle once: the per-packet hooks skip the port
-        # lookup and the window-boundary division entirely.
-        self._timewin = tw.port_handle(name) if tw is not None else None
-        if self._tele is not None:
-            self._tele.metrics.add_collector(self._collect_metrics)
+        if self._probe is not None:
+            telemetry.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry) -> None:
         stats = self.stats
@@ -163,27 +154,13 @@ class PhysicalFifoQueue(QueueDiscipline):
     # -- QueueDiscipline -------------------------------------------------------
 
     def enqueue(self, packet: Packet, now: float) -> bool:
-        tele = self._tele
+        probe = self._probe
         if self._bytes + packet.size > self.limit_bytes:
             self.stats.dropped_packets += 1
             self.stats.dropped_bytes += packet.size
             self.stats.dropped_buffer_packets += 1
-            if tele is not None and tele.enabled:
-                tele.trace.emit_fields(
-                    EV_DROP, now, node=self.name, flow_id=packet.flow_id,
-                    size=packet.size, value=float(self._bytes), reason="buffer",
-                )
-                fr = self._flight
-                if fr is not None and packet.flight is not None:
-                    fr.drop_hop(
-                        packet, self.name, now, "buffer", depth=float(self._bytes)
-                    )
-                    fr.complete(packet, now, "dropped", node=self.name)
-                tw = self._timewin
-                if tw is not None:
-                    tw.on_drop(
-                        packet.flow_id, packet.aq_ingress_id, packet.size, now
-                    )
+            if probe is not None:
+                probe.dropped(packet, now, "buffer", float(self._bytes))
             return False
         if (
             self.ecn_threshold_bytes is not None
@@ -192,11 +169,8 @@ class PhysicalFifoQueue(QueueDiscipline):
             if packet.ect:
                 packet.mark_ce()
                 self.stats.ecn_marked_packets += 1
-                if tele is not None and tele.enabled:
-                    tele.trace.emit_fields(
-                        EV_ECN_MARK, now, node=self.name, flow_id=packet.flow_id,
-                        size=packet.size, value=float(self._bytes),
-                    )
+                if probe is not None:
+                    probe.marked(packet, now, float(self._bytes))
             elif self.red_drop_non_ect:
                 # RED-style early drop for non-ECT traffic: probability
                 # ramps linearly from 0 at the threshold to 1 at twice the
@@ -211,23 +185,8 @@ class PhysicalFifoQueue(QueueDiscipline):
                     self.stats.dropped_packets += 1
                     self.stats.dropped_bytes += packet.size
                     self.stats.dropped_red_packets += 1
-                    if tele is not None and tele.enabled:
-                        tele.trace.emit_fields(
-                            EV_DROP, now, node=self.name, flow_id=packet.flow_id,
-                            size=packet.size, value=float(self._bytes), reason="red",
-                        )
-                        fr = self._flight
-                        if fr is not None and packet.flight is not None:
-                            fr.drop_hop(
-                                packet, self.name, now, "red", depth=float(self._bytes)
-                            )
-                            fr.complete(packet, now, "dropped", node=self.name)
-                        tw = self._timewin
-                        if tw is not None:
-                            tw.on_drop(
-                                packet.flow_id, packet.aq_ingress_id,
-                                packet.size, now,
-                            )
+                    if probe is not None:
+                        probe.dropped(packet, now, "red", float(self._bytes))
                     return False
         packet.enqueue_time = now
         self._queue.append(packet)
@@ -236,24 +195,8 @@ class PhysicalFifoQueue(QueueDiscipline):
         self.stats.enqueued_bytes += packet.size
         if self._bytes > self.stats.max_bytes_queued:
             self.stats.max_bytes_queued = self._bytes
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(
-                EV_ENQUEUE, now, node=self.name, flow_id=packet.flow_id,
-                size=packet.size, value=float(self._bytes),
-            )
-            # Nested under the telemetry guard (flight recording implies
-            # enabled telemetry) so the disabled path stays one flag check.
-            fr = self._flight
-            if fr is not None and packet.flight is not None:
-                fr.queue_hop(packet, self.name, now, float(self._bytes))
-            # Same post-enqueue backlog the flight hop carries, so window
-            # high-waters and FlightIndex ground truth agree exactly.
-            tw = self._timewin
-            if tw is not None:
-                tw.on_enqueue(
-                    packet.flow_id, packet.aq_ingress_id,
-                    packet.size, float(self._bytes), now,
-                )
+        if probe is not None:
+            probe.enqueued(packet, now, float(self._bytes))
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -265,15 +208,9 @@ class PhysicalFifoQueue(QueueDiscipline):
         self.stats.dequeued_bytes += packet.size
         if self._collect_delays:
             self.stats.record_delay(now - packet.enqueue_time)
-        tele = self._tele
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(
-                EV_DEQUEUE, now, node=self.name, flow_id=packet.flow_id,
-                size=packet.size, value=float(self._bytes),
-            )
-            fr = self._flight
-            if fr is not None and packet.flight is not None:
-                fr.queue_exit(packet, self.name, now)
+        probe = self._probe
+        if probe is not None:
+            probe.dequeued(packet, now, float(self._bytes))
         return packet
 
     def drain(self, now: float, reason: str = "switch_restart") -> list:
@@ -284,29 +221,15 @@ class PhysicalFifoQueue(QueueDiscipline):
         fault window rather than looking like forwarded traffic.
         """
         drained = []
-        tele = self._tele
+        probe = self._probe
         while self._queue:
             packet = self._queue.popleft()
             self._bytes -= packet.size
             self.stats.dropped_packets += 1
             self.stats.dropped_bytes += packet.size
             self.stats.dropped_fault_packets += 1
-            if tele is not None and tele.enabled:
-                tele.trace.emit_fields(
-                    EV_DROP, now, node=self.name, flow_id=packet.flow_id,
-                    size=packet.size, value=float(self._bytes), reason=reason,
-                )
-                fr = self._flight
-                if fr is not None and packet.flight is not None:
-                    fr.drop_hop(
-                        packet, self.name, now, reason, depth=float(self._bytes)
-                    )
-                    fr.complete(packet, now, "dropped", node=self.name)
-                tw = self._timewin
-                if tw is not None:
-                    tw.on_drop(
-                        packet.flow_id, packet.aq_ingress_id, packet.size, now
-                    )
+            if probe is not None:
+                probe.dropped(packet, now, reason, float(self._bytes))
             drained.append(packet)
         return drained
 

@@ -56,6 +56,12 @@ class MultiQueuePort(QueueDiscipline):
         name: str = "",
         telemetry=None,
     ) -> None:
+        # Sub-queues attribute flows under "<base>.qN"; the port itself
+        # contributes only the summed-backlog depth samples the per-class
+        # windows cannot derive (their high-waters never coincide) — and
+        # only when named: the unnamed composite has no label to attribute
+        # the summed backlog to.
+        super().__init__(name, telemetry if name else None)
         if num_queues < 1:
             raise ConfigurationError(f"need at least one queue, got {num_queues}")
         if scheduler not in SCHEDULERS:
@@ -67,7 +73,6 @@ class MultiQueuePort(QueueDiscipline):
         self.num_queues = num_queues
         self.scheduler = scheduler
         self.classifier = classifier or hash_on_entity(num_queues)
-        self.name = name
         # Even unnamed ports give their sub-queues distinct names: the run
         # auditor keys per-queue conservation on the node label, and two
         # queues sharing a label would be conflated into one ledger.
@@ -85,15 +90,6 @@ class MultiQueuePort(QueueDiscipline):
         self._rr_index = 0
         self._deficits = [0.0] * num_queues
         self._quantum = 1500.0
-        # Sub-queues attribute flows under "<base>.qN"; the port itself
-        # contributes only the summed-backlog depth samples the per-class
-        # windows cannot derive (their high-waters never coincide).
-        tele = telemetry if telemetry is not None and telemetry.enabled else None
-        tw = tele.timewin if tele is not None else None
-        # The port only records when named — sub-queues carry their own
-        # "<base>.qN" handles and the unnamed composite has no label to
-        # attribute the summed backlog to.
-        self._timewin = tw.port_handle(name) if tw is not None and name else None
 
     # -- QueueDiscipline -----------------------------------------------------
 
@@ -104,9 +100,9 @@ class MultiQueuePort(QueueDiscipline):
                 f"classifier returned queue {index} of {self.num_queues}"
             )
         accepted = self.queues[index].enqueue(packet, now)
-        tw = self._timewin
-        if tw is not None and accepted:
-            tw.on_depth(float(self.bytes_queued), now)
+        probe = self._probe
+        if probe is not None and accepted:
+            probe.depth(float(self.bytes_queued), now)
         return accepted
 
     def dequeue(self, now: float) -> Optional[Packet]:

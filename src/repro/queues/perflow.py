@@ -24,7 +24,6 @@ from typing import Callable, Deque, Optional
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet
-from ..obs.events import EV_DROP
 from .base import QueueDiscipline
 
 #: Classification function: packet -> key.
@@ -82,6 +81,7 @@ class PerFlowQueue(QueueDiscipline):
         name: str = "",
         telemetry=None,
     ) -> None:
+        super().__init__(name, telemetry)
         if limit_bytes_per_queue <= 0:
             raise ConfigurationError("per-queue limit must be positive")
         if quantum_bytes <= 0:
@@ -91,7 +91,6 @@ class PerFlowQueue(QueueDiscipline):
         self.key_fn = key_fn
         self.max_queues = max_queues
         self.weight_fn = weight_fn
-        self.name = name
         #: Active (backlogged) queues in round-robin order.
         self._queues: "OrderedDict[int, _SubQueue]" = OrderedDict()
         self._bytes = 0
@@ -100,12 +99,8 @@ class PerFlowQueue(QueueDiscipline):
         self.dropped_no_queue_packets = 0
         self.dropped_fault_packets = 0
         self.peak_queue_count = 0
-        self._tele = telemetry if telemetry is not None and telemetry.enabled else None
-        self._flight = self._tele.flightrec if self._tele is not None else None
-        tw = self._tele.timewin if self._tele is not None else None
-        self._timewin = tw.port_handle(name) if tw is not None else None
-        if self._tele is not None:
-            self._tele.metrics.add_collector(self._collect_metrics)
+        if self._probe is not None:
+            telemetry.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry) -> None:
         label = self.name or f"perflow@{id(self):x}"
@@ -125,23 +120,9 @@ class PerFlowQueue(QueueDiscipline):
 
     # -- QueueDiscipline -----------------------------------------------------
 
-    def _emit_drop(self, packet: Packet, now: float, reason: str) -> None:
-        tele = self._tele
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(
-                EV_DROP, now, node=self.name, flow_id=packet.flow_id,
-                size=packet.size, value=float(self._bytes), reason=reason,
-            )
-        fr = self._flight
-        if fr is not None and packet.flight is not None:
-            fr.drop_hop(packet, self.name, now, reason, depth=float(self._bytes))
-            fr.complete(packet, now, "dropped", node=self.name)
-        tw = self._timewin
-        if tw is not None:
-            tw.on_drop(packet.flow_id, packet.aq_ingress_id, packet.size, now)
-
     def enqueue(self, packet: Packet, now: float) -> bool:
         key = self.key_fn(packet)
+        probe = self._probe
         queue = self._queues.get(key)
         if queue is None:
             if self.max_queues is not None and len(self._queues) >= self.max_queues:
@@ -150,7 +131,8 @@ class PerFlowQueue(QueueDiscipline):
                 # to a shared default queue, same loss of isolation).
                 self.dropped_packets += 1
                 self.dropped_no_queue_packets += 1
-                self._emit_drop(packet, now, "no_queue")
+                if probe is not None:
+                    probe.dropped(packet, now, "no_queue", float(self._bytes))
                 return False
             weight = self.weight_fn(key) if self.weight_fn else 1.0
             queue = _SubQueue(weight)
@@ -160,18 +142,15 @@ class PerFlowQueue(QueueDiscipline):
         if queue.bytes + packet.size > self.limit_bytes_per_queue:
             self.dropped_packets += 1
             self.dropped_buffer_packets += 1
-            self._emit_drop(packet, now, "buffer")
+            if probe is not None:
+                probe.dropped(packet, now, "buffer", float(self._bytes))
             return False
         packet.enqueue_time = now
         queue.packets.append(packet)
         queue.bytes += packet.size
         self._bytes += packet.size
-        tw = self._timewin
-        if tw is not None:
-            tw.on_enqueue(
-                packet.flow_id, packet.aq_ingress_id,
-                packet.size, float(self._bytes), now,
-            )
+        if probe is not None:
+            probe.enqueued(packet, now, float(self._bytes))
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -188,6 +167,9 @@ class PerFlowQueue(QueueDiscipline):
                 if not queue.packets:
                     # Idle queues leave the schedule (and forfeit deficit).
                     del self._queues[key]
+                probe = self._probe
+                if probe is not None:
+                    probe.dequeued(packet, now, float(self._bytes))
                 return packet
             # Move to the back of the round and grant a quantum.
             self._queues.move_to_end(key)
@@ -199,6 +181,7 @@ class PerFlowQueue(QueueDiscipline):
     def drain(self, now: float, reason: str = "switch_restart") -> list:
         """Discard every sub-queue's backlog as fault-attributed drops."""
         drained = []
+        probe = self._probe
         for queue in self._queues.values():
             while queue.packets:
                 packet = queue.packets.popleft()
@@ -206,7 +189,8 @@ class PerFlowQueue(QueueDiscipline):
                 self._bytes -= packet.size
                 self.dropped_packets += 1
                 self.dropped_fault_packets += 1
-                self._emit_drop(packet, now, reason)
+                if probe is not None:
+                    probe.dropped(packet, now, reason, float(self._bytes))
                 drained.append(packet)
         self._queues.clear()
         return drained

@@ -652,8 +652,6 @@ class FluidEngine:
                             prev_stage = self._attach_aq(
                                 aq, fs, prev_stage, aq_stage_by_id, edges
                             )
-                    if node.taps:
-                        raise FluidIneligible(f"switch {node.name} has taps")
                     port = node.route_for(sender.dst)
                     transmitter = port.transmitter
                     queue = port.queue

@@ -90,8 +90,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError, ShardError
 from ..net.link import BoundaryLink
 from ..net.packet import Packet
-from ..obs.events import EV_DELIVER, EV_HOST_SEND
-from ..obs.flightrec import HopRecord
+from ..obs.probe import bind_probe
 
 #: Packet header fields serialized across a cut, in wire order. The
 #: transient fields (``enqueue_time``, ``flight``, ``flight_digest``,
@@ -204,7 +203,7 @@ class ShardRuntime:
         self.lookahead = plan.lookahead
         self.sim = None
         self.network = None
-        self._tele = None
+        self._probe = None
         self._outbox = [BoundaryBatch() for _ in range(self.num_partitions)]
         self._imports: Dict[int, Callable[[Packet], None]] = {}
         self._import_names: Dict[int, str] = {}
@@ -238,42 +237,26 @@ class ShardRuntime:
         self._import_names[cut.link_id] = cut.name
 
     def attach_network(self, network) -> None:
-        """Adopt the built partition network (sim + telemetry refs)."""
+        """Adopt the built partition network (sim + probe)."""
         self.network = network
         if self.sim is None:
             self.sim = network.sim
-        tele = network.sim.telemetry
-        self._tele = tele if tele is not None and tele.enabled else None
+        self._probe = bind_probe(network.sim.telemetry)
 
     # -- data path ----------------------------------------------------------
 
     def _capture(self, link: BoundaryLink, arrival_t: float, packet: Packet) -> None:
-        """BoundaryLink delivery: book the export and close the local
-        ledger with a synthetic ``deliver`` at the cut-link name."""
+        """BoundaryLink delivery: book the export (the probe closes the
+        local ledger and seals the flight segment at the cut-link name)."""
         self._outbox[link.dest_partition].append(
             arrival_t, link.link_id, link.exported, packet
         )
         link.exported += 1
         self.exported_packets += 1
-        tele = self._tele
-        if tele is not None:
-            now = self.sim.now
-            tele.trace.emit_fields(
-                EV_DELIVER, now, node=link.name,
-                flow_id=packet.flow_id, size=packet.size,
+        if self._probe is not None:
+            self._probe.exported(
+                packet, self.sim.now, link.name, link.link_id, link.exported - 1
             )
-            fr = tele.flightrec
-            if fr is not None and packet.flight is not None:
-                # Seal this partition's segment at the cut. The trailing
-                # "cut" hop carries the correlation key — the same
-                # ``(link_id, departure_seq)`` pair already serialized in
-                # the boundary batch — so ``stitch_flight_dumps`` can
-                # chain it to the importing shard's segment.
-                corr = f"{link.link_id}:{link.exported - 1}"
-                packet.flight.append(
-                    HopRecord("cut", link.name, now, corr=corr)
-                )
-                fr.complete(packet, now, "exported", node=link.name)
 
     def _inject(self, link_id: int, seq: int, values: tuple) -> None:
         """Arrival of an imported boundary packet (scheduled at a barrier)."""
@@ -285,21 +268,10 @@ class ShardRuntime:
             )
         packet = packet_from_row(values)
         self.imported_packets += 1
-        tele = self._tele
-        if tele is not None:
-            # Synthetic injection so the destination ledger opens where
-            # the source ledger closed (same node name on both events).
-            tele.trace.emit_fields(
-                EV_HOST_SEND, self.sim.now, node=self._import_names[link_id],
-                flow_id=packet.flow_id, size=packet.size,
+        if self._probe is not None:
+            self._probe.imported(
+                packet, self.sim.now, self._import_names[link_id], link_id, seq
             )
-            fr = tele.flightrec
-            if fr is not None:
-                # Open the continuation segment under the exporter's key.
-                fr.begin_segment(
-                    packet, self.sim.now, self._import_names[link_id],
-                    f"{link_id}:{seq}",
-                )
         handler(packet)
 
     # -- epoch stepping ------------------------------------------------------

@@ -24,6 +24,7 @@ from ..errors import TransportError
 from ..net.host import Host
 from ..net.packet import Packet, make_ack, make_data
 from ..obs.events import EV_CWND_CHANGE
+from ..obs.probe import bind_probe
 from ..units import ACK_BYTES, MSS_BYTES, SECOND, ms
 
 #: RFC 6298 parameters, scaled for data center RTTs. Both RTO bounds go
@@ -127,7 +128,7 @@ class TcpSender:
 
         tele = sim.telemetry
         self._tele = tele if tele is not None and tele.enabled else None
-        self._flight = self._tele.flightrec if self._tele is not None else None
+        self._probe = bind_probe(tele)
         self._last_reported_cwnd = cc.cwnd
         if self._tele is not None:
             self._tele.metrics.add_collector(self._collect_metrics)
@@ -265,10 +266,10 @@ class TcpSender:
     def on_packet(self, packet: Packet, now: float) -> None:
         if not packet.is_ack or self.completed:
             return
-        if packet.flight_digest is not None and self._flight is not None:
+        if packet.flight_digest is not None and self._probe is not None:
             # The receiver echoed a flight digest on this ACK (the in-band
             # telemetry round trip); index it for per-flow path queries.
-            self._flight.note_echo(self.flow_id, packet.flight_digest, now)
+            self._probe.echoed(self.flow_id, packet.flight_digest, now)
         ack = packet.ack
         if ack > self.snd_una:
             self._on_new_ack(packet, ack, now)
@@ -319,7 +320,7 @@ class TcpSender:
                 flightsize_packets=len(self._inflight),
             )
             self.cc.on_ack(ctx)
-            if self._tele is not None and self._tele.enabled:
+            if self._tele is not None:
                 self._trace_cwnd(now)
 
         if self.size_bytes is not None and self.snd_una >= self.size_bytes:
@@ -338,7 +339,7 @@ class TcpSender:
             self._recover_seq = self.snd_nxt
             self.stats.fast_retransmits += 1
             self.cc.on_packet_loss(now)
-            if self._tele is not None and self._tele.enabled:
+            if self._tele is not None:
                 self._trace_cwnd(now)
             self._retransmit_hole(self.snd_una)
 
@@ -381,7 +382,7 @@ class TcpSender:
             return
         self.stats.timeouts += 1
         self.cc.on_rto(self.sim.now)
-        if self._tele is not None and self._tele.enabled:
+        if self._tele is not None:
             self._trace_cwnd(self.sim.now)
         # Go-back-N: forget everything in flight and restart from snd_una.
         self._inflight.clear()
@@ -449,8 +450,7 @@ class TcpReceiver:
         self._pending_ece = False
         self._pending_virtual_delay = 0.0
         self._ack_timer = None
-        tele = sim.telemetry
-        self._flight = tele.flightrec if tele is not None and tele.enabled else None
+        self._probe = bind_probe(sim.telemetry)
         self._pending_flight_digest = None
         host.register_flow(flow_id, self)
 
@@ -480,12 +480,11 @@ class TcpReceiver:
         self._pending_ece = self._pending_ece or packet.ce
         if packet.virtual_delay > self._pending_virtual_delay:
             self._pending_virtual_delay = packet.virtual_delay
-        fr = self._flight
-        if fr is not None and packet.flight is not None:
+        if self._probe is not None:
             # The packet's in-band hop records are still attached here (the
             # host seals the flight after endpoint dispatch); summarize them
             # for the ACK echo, mirroring the ECN/virtual-delay echoes.
-            digest = fr.digest_of(packet)
+            digest = self._probe.flight_digest(packet)
             if digest is not None:
                 self._pending_flight_digest = digest
         self._unacked += 1

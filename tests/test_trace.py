@@ -1,4 +1,4 @@
-"""Tests for the packet tracer and the request/policy serialization."""
+"""Tests for the request/policy serialization."""
 
 import json
 
@@ -6,89 +6,7 @@ import pytest
 
 from repro.core.controller import AqRequest
 from repro.core.feedback import FeedbackPolicy, drop_policy, ecn_policy
-from repro.cc.registry import make_cc
 from repro.errors import ConfigurationError
-from repro.stats.trace import PacketTrace
-from repro.topology.dumbbell import Dumbbell, DumbbellConfig
-from repro.transport.tcp import TcpConnection
-from repro.transport.udp import UdpFlow
-from repro.units import gbps, mbps
-
-
-class TestPacketTrace:
-    def _dumbbell_with_trace(self):
-        d = Dumbbell(DumbbellConfig(num_left=2, num_right=2,
-                                    bottleneck_rate_bps=gbps(1)))
-        trace = PacketTrace()
-        d.network.switches[Dumbbell.LEFT_SWITCH].add_tap(trace.switch_tap)
-        return d, trace
-
-    def test_counts_bytes_per_flow(self):
-        d, trace = self._dumbbell_with_trace()
-        f1 = UdpFlow(d.network, "h-l0", "h-r0", rate_bps=mbps(120),
-                     total_bytes=15_000)
-        f2 = UdpFlow(d.network, "h-l1", "h-r1", rate_bps=mbps(120),
-                     total_bytes=7_500)
-        d.network.run(until=0.1)
-        by_flow = trace.bytes_by_flow()
-        assert by_flow[f1.flow_id] == 15_000
-        assert by_flow[f2.flow_id] == 7_500
-
-    def test_counts_bytes_per_entity(self):
-        d, trace = self._dumbbell_with_trace()
-        UdpFlow(d.network, "h-l0", "h-r0", rate_bps=mbps(120),
-                total_bytes=15_000, aq_ingress_id=42)
-        d.network.run(until=0.1)
-        assert trace.bytes_by_entity() == {42: 15_000}
-
-    def test_retransmissions_visible(self):
-        from repro.topology.base import QueueConfig
-
-        d = Dumbbell(DumbbellConfig(
-            num_left=2, num_right=2, bottleneck_rate_bps=gbps(1),
-            queue_config=QueueConfig(limit_bytes=8 * 1500),
-        ))
-        trace = PacketTrace()
-        d.network.switches[Dumbbell.LEFT_SWITCH].add_tap(trace.switch_tap)
-        TcpConnection(d.network, "h-l0", "h-r0", make_cc("cubic"),
-                      size_bytes=400_000)
-        TcpConnection(d.network, "h-l1", "h-r1", make_cc("cubic"),
-                      size_bytes=400_000)
-        d.network.run(until=1.0)
-        assert trace.retransmission_count() > 0
-
-    def test_host_tap_and_interarrivals(self):
-        d, _ = self._dumbbell_with_trace()
-        trace = PacketTrace()
-        d.network.hosts["h-r0"].receive_taps.append(trace.host_tap)
-        UdpFlow(d.network, "h-l0", "h-r0", rate_bps=mbps(120), total_bytes=15_000)
-        d.network.run(until=0.1)
-        gaps = trace.interarrival_times()
-        # 1500 B at 120 Mbps = 100 us spacing.
-        assert all(gap == pytest.approx(100e-6, rel=0.05) for gap in gaps)
-
-    def test_max_records_truncates(self):
-        d, _ = self._dumbbell_with_trace()
-        trace = PacketTrace(max_records=5)
-        d.network.hosts["h-r0"].receive_taps.append(trace.host_tap)
-        UdpFlow(d.network, "h-l0", "h-r0", rate_bps=mbps(120), total_bytes=30_000)
-        d.network.run(until=0.1)
-        assert len(trace) == 5
-        assert trace.truncated
-
-    def test_rate_over_duration(self):
-        d, trace = self._dumbbell_with_trace()
-        UdpFlow(d.network, "h-l0", "h-r0", rate_bps=mbps(120), total_bytes=15_000)
-        d.network.run(until=0.001)
-        assert trace.rate_bps(0.001) == pytest.approx(
-            sum(r.size for r in trace.records) * 8 / 0.001
-        )
-
-    def test_ce_fraction_zero_without_marks(self):
-        d, trace = self._dumbbell_with_trace()
-        UdpFlow(d.network, "h-l0", "h-r0", rate_bps=mbps(120), total_bytes=15_000)
-        d.network.run(until=0.1)
-        assert trace.ce_mark_fraction() == 0.0
 
 
 class TestSerialization:
