@@ -1,13 +1,14 @@
 """Engine hot-path benchmarks: tombstone compaction, the fire-and-forget
-event free list, and the idle-link combined serialization event.
+tuple calendar entry, and the idle-link combined serialization event.
 
 Each case asserts that its mechanism actually *engages* (compactions
-happen, events are recycled, the uncontended link pays one event per
-packet) — a refactor that silently disables a fast path fails here rather
-than showing up as an unexplained slowdown. The measured numbers for the
-whole group are written to ``BENCH_engine.json`` at the repo root, which
-``repro run-all --baseline`` and CI use as the wall-clock reference (see
-docs/PERFORMANCE.md for how to read it).
+happen, fire-and-forget events build no Event object, the uncontended
+link pays one event per packet) — a refactor that silently disables a
+fast path fails here rather than showing up as an unexplained slowdown.
+The measured numbers for the whole group are written to
+``BENCH_engine.json`` at the repo root, which ``repro run-all --baseline``
+and CI use as the wall-clock reference (see docs/PERFORMANCE.md for how
+to read it).
 """
 
 import json
@@ -27,6 +28,7 @@ from repro.harness.hotpath import (
     engine_bench_payload,
 )
 from repro.harness.report import print_experiment, render_table
+from repro.sim.engine import Event
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -49,11 +51,20 @@ def test_engine_timer_churn(once):
     assert result["calendar_after_cancel"] <= 2 * result["events_processed"]
 
 
-def test_engine_fire_chain(once):
+def test_engine_fire_chain(once, monkeypatch):
+    built = []
+    init = Event.__init__
+
+    def counting_init(event, *args):
+        built.append(event)
+        init(event, *args)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
     result = _record("fire_chain", once(bench_fire_chain))
     assert result["events_processed"] == result["n_events"]
-    # The whole chain must be served by pooled Events, not fresh allocations.
-    assert result["free_list_size"] <= 4
+    # Fire-and-forget entries are bare tuples: the whole chain must not
+    # construct a single Event handle.
+    assert not built
 
 
 def test_engine_idle_link(once):

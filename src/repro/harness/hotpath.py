@@ -68,10 +68,9 @@ def bench_timer_churn(
 def bench_fire_chain(n_events: int = 200_000) -> Dict[str, float]:
     """Fire-and-forget event throughput: the packet-delivery pattern.
 
-    A single self-rescheduling ``schedule_fire`` chain; after warm-up every
-    event is served from the simulator's free list, so steady state
-    allocates no Event objects. This is the upper bound on raw event
-    throughput (empty callbacks, depth-1 heap).
+    A single self-rescheduling ``schedule_fire`` chain: every calendar
+    entry is a bare tuple and no Event object is ever built. This is the
+    upper bound on raw event throughput (empty callbacks, depth-1 heap).
     """
     sim = Simulator()
     remaining = [n_events]
@@ -90,7 +89,6 @@ def bench_fire_chain(n_events: int = 200_000) -> Dict[str, float]:
         "wall_s": wall,
         "events_processed": float(processed),
         "events_per_sec": processed / wall if wall > 0 else 0.0,
-        "free_list_size": float(len(sim._free)),
     }
 
 

@@ -14,7 +14,6 @@ from typing import Callable, List, Optional
 
 from ..errors import ConfigurationError
 from ..obs.probe import bind_probe
-from ..units import transmission_time
 from .packet import Packet
 
 #: An egress/ingress pipeline hook: ``hook(packet, now) -> bool``.
@@ -276,6 +275,11 @@ class Transmitter:
       bit-for-bit while an uncontended link pays one event per packet
       instead of two.
 
+    :meth:`offer` runs once per packet hop, so it decides "start now /
+    resume at ``_tx_end`` / already arranged" inline and calls
+    ``_start_next`` directly; :meth:`kick` is the same decision for
+    out-of-band callers, phrased through the :attr:`busy` property.
+
     A transmitter also carries a *mode* (:data:`MODE_PACKET` /
     :data:`MODE_FLUID`). In fluid mode the pump is disabled: an in-flight
     packet still delivers (so the fluid engine's drain barrier converges)
@@ -308,6 +312,10 @@ class Transmitter:
 
     @property
     def busy(self) -> bool:
+        """The one definition of "line busy". ``_busy`` stays set after an
+        idle-line serialization completes with nothing queued behind it,
+        so it only counts while an event is due at ``_tx_end`` or the
+        clock has not reached it."""
         return self._busy and (self._finish_pending or self.sim.now < self._tx_end)
 
     def add_egress_hook(self, hook: PipelineHook) -> None:
@@ -318,14 +326,31 @@ class Transmitter:
 
         Returns ``False`` when the queue discipline dropped the packet.
         """
-        accepted = self.queue.enqueue(packet, self.sim.now)
-        if accepted:
-            self._pump()
-        return accepted
+        sim = self.sim
+        now = sim.now
+        if not self.queue.enqueue(packet, now):
+            return False
+        if self._finish_pending or self.mode == MODE_FLUID:
+            return True
+        if self._busy and now < self._tx_end:
+            self._finish_pending = True
+            sim.schedule_fire_at(self._tx_end, self._resume)
+        else:
+            self._start_next(now)
+        return True
 
     def kick(self) -> None:
-        """Restart transmission if idle (used after out-of-band enqueues)."""
-        self._pump()
+        """Ensure the queue will drain (used after out-of-band enqueues):
+        start now if the line is idle, or arrange the lazily-deferred
+        dequeue at end-of-serialization."""
+        if self.mode == MODE_FLUID:
+            return
+        if self.busy:
+            if not self._finish_pending:
+                self._finish_pending = True
+                self.sim.schedule_fire_at(self._tx_end, self._resume)
+        else:
+            self._start_next(self.sim.now)
 
     def set_mode(self, mode: str) -> None:
         """Switch between :data:`MODE_PACKET` and :data:`MODE_FLUID`.
@@ -344,51 +369,33 @@ class Transmitter:
             self._busy = False
             self._finish_pending = False
 
-    def _pump(self) -> None:
-        """Ensure the queue will drain: start now if the line is idle, or
-        arrange the lazily-deferred dequeue at end-of-serialization."""
-        if self.mode == MODE_FLUID:
+    def _start_next(self, now: float) -> None:
+        queue = self.queue
+        packet = queue.dequeue(now)
+        if self.egress_hooks:
+            # A hook may drop the packet after dequeue (egress policing);
+            # pull the next one immediately.
+            while packet is not None and not self._run_egress(packet, now):
+                packet = queue.dequeue(now)
+        if packet is None:
+            self._busy = False
             return
-        if self._line_busy():
-            if not self._finish_pending:
-                self._finish_pending = True
-                self.sim.schedule_fire_at(self._tx_end, self._resume)
-        else:
-            self._start_next()
-
-    def _line_busy(self) -> bool:
-        if not self._busy:
-            return False
-        if self._finish_pending or self.sim.now < self._tx_end:
-            return True
-        # Fast-path serialization completed with nothing queued behind it.
-        self._busy = False
-        return False
-
-    def _start_next(self) -> None:
-        now = self.sim.now
-        while True:
-            packet = self.queue.dequeue(now)
-            if packet is None:
-                self._busy = False
-                return
-            if self._run_egress(packet, now):
-                break
-            # Hook dropped the packet after dequeue (egress policing); pull
-            # the next one immediately.
         self._busy = True
         link = self.link
-        tx_time = transmission_time(packet.size, link.rate_bps)
+        # ``Link.__init__`` validated the rate, and nothing reassigns it.
+        tx_time = packet.size * 8.0 / link.rate_bps
         link.stats.busy_time += tx_time
         self._tx_end = now + tx_time
-        if self.queue.is_empty:
+        if queue.is_empty:
             # Idle-line fast path: one combined event delivers the packet;
             # a concurrent offer() will schedule the resume if needed.
             self._finish_pending = False
-            self.sim.schedule_fire(tx_time + link.prop_delay, link.deliver_now, packet)
+            self.sim.schedule_fire_at(
+                now + (tx_time + link.prop_delay), link.deliver_now, packet
+            )
         else:
             self._finish_pending = True
-            self.sim.schedule_fire(tx_time, self._finish, packet)
+            self.sim.schedule_fire_at(now + tx_time, self._finish, packet)
 
     def _run_egress(self, packet: Packet, now: float) -> bool:
         for hook in self.egress_hooks:
@@ -407,7 +414,7 @@ class Transmitter:
             # Drain barrier: deliver the in-flight packet, then park.
             self._busy = False
             return
-        self._start_next()
+        self._start_next(self.sim.now)
 
     def _resume(self) -> None:
         """Deferred end-of-serialization dequeue for the fast path."""
@@ -415,4 +422,4 @@ class Transmitter:
         if self.mode == MODE_FLUID:
             self._busy = False
             return
-        self._start_next()
+        self._start_next(self.sim.now)

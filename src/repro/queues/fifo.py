@@ -241,6 +241,12 @@ class PhysicalFifoQueue(QueueDiscipline):
     def packets_queued(self) -> int:
         return len(self._queue)
 
+    @property
+    def is_empty(self) -> bool:
+        # Asked once per transmitted packet: answer from the deque rather
+        # than through the base class's ``packets_queued == 0``.
+        return not self._queue
+
     # -- fluid fast path (driven by :mod:`repro.sim.fluid`) --------------------
 
     def fluid_capture(self) -> "dict[int, int]":

@@ -9,10 +9,12 @@ matter for reproducing the paper:
   than they fire; cancelled events are tombstoned and skipped on pop, and
   the calendar is compacted in place whenever tombstones outnumber live
   events (see ``docs/PERFORMANCE.md``).
-* **Speed** — the hot path (schedule/pop) avoids attribute lookups and
-  allocations where practical; events are small ``__slots__`` objects, and
-  fire-and-forget events (:meth:`Simulator.schedule_fire`) are recycled
-  through a free list so steady-state packet forwarding allocates nothing.
+* **Speed** — calendar entries are plain tuples ``(time, seq, fn, args)``,
+  so :mod:`heapq` orders them by comparing a float and (on ties) an int in
+  C; ``seq`` is unique, so the comparison never reaches ``fn``.
+  Fire-and-forget events (:meth:`Simulator.schedule_fire`) are nothing but
+  that tuple; cancellable ones put ``None`` in the ``fn`` slot and their
+  :class:`Event` handle in the ``args`` slot (see ``docs/PERFORMANCE.md``).
 
 The simulator also carries the run's :class:`~repro.obs.Telemetry`: the
 profiler (when attached) swaps the run loop for an instrumented variant,
@@ -29,7 +31,7 @@ on top of it, and they compose differently:
 * **sharding** (:mod:`repro.sim.shard`) runs one simulator per
   partition in lockstep epochs of :meth:`Simulator.run` bounded by the
   conservative lookahead, with cross-partition arrivals re-entering via
-  :meth:`Simulator.schedule_at` at barriers.
+  :meth:`Simulator.schedule_fire_at` at barriers.
 
 Telemetry composes with both. Fluid and sharding are mutually
 exclusive: fluid's analytic epochs advance links past barrier times,
@@ -50,28 +52,20 @@ class Event:
     """A scheduled callback; returned by :meth:`Simulator.schedule`.
 
     Instances are handles: the only public operations are :meth:`cancel`
-    and inspecting :attr:`time` / :attr:`cancelled`. Events created through
-    :meth:`Simulator.schedule_fire` are *pooled*: the simulator recycles
-    them after they fire, which is safe precisely because no handle to
-    them ever escapes.
+    and inspecting :attr:`time` / :attr:`cancelled`. The calendar orders
+    its entries by the ``(time, seq)`` prefix of the tuple that carries
+    the handle, never by comparing handles.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "poolable", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sim: "Simulator",
+        self, time: float, fn: Callable[..., Any], args: tuple, sim: "Simulator"
     ):
         self.time = time
-        self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
         self.cancelled = False
-        self.poolable = False
         self._sim = sim
 
     def cancel(self) -> None:
@@ -88,14 +82,9 @@ class Event:
             self.args = ()
             self._sim._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.9f} seq={self.seq} {state}>"
+        return f"<Event t={self.time:.9f} {state}>"
 
 
 class Simulator:
@@ -116,17 +105,16 @@ class Simulator:
     #: Compaction does not kick in below this calendar size: rebuilding a
     #: tiny heap costs more than skipping its tombstones ever will.
     COMPACT_MIN_CALENDAR = 64
-    #: Upper bound on pooled Event objects kept for reuse.
-    FREE_LIST_MAX = 4096
 
     def __init__(self, telemetry=None) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, seq, fn, args)`` entries; a cancellable event is
+        #: ``(time, seq, None, event)``.
+        self._heap: list[tuple] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
         self._events_processed = 0
         self._live = 0
-        self._free: list[Event] = []
         self.compactions = 0
         #: Fault-event observers (see :meth:`add_fault_listener`). Kept off
         #: the run-loop hot path entirely: the list is only walked when a
@@ -156,50 +144,44 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        # ``not >=`` rather than ``<`` so a NaN delay is rejected too.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        """Schedule ``fn(*args)`` at an absolute simulation time. ``+inf``
+        is legal: the event never fires inside a bounded run."""
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        self._seq += 1
-        event = Event(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, event)
+        self._seq = seq = self._seq + 1
+        event = Event(time, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, None, event))
         self._live += 1
         return event
 
     def schedule_fire(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned and the
-        event can never be cancelled, which lets the simulator recycle the
-        Event object through a free list instead of allocating. Use this
-        for hot-path events whose handle would be discarded anyway
-        (packet deliveries, serialization completions)."""
-        if delay < 0:
+        event can never be cancelled, so the calendar entry is just the
+        tuple ``(time, seq, fn, args)`` and no :class:`Event` is built.
+        Use this for hot-path events whose handle would be discarded
+        anyway (packet deliveries, serialization completions)."""
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        self.schedule_fire_at(self._now + delay, fn, *args)
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (self._now + delay, seq, fn, args))
+        self._live += 1
 
     def schedule_fire_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Absolute-time variant of :meth:`schedule_fire`."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        self._seq += 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.fn = fn
-            event.args = args
-        else:
-            event = Event(time, self._seq, fn, args, self)
-            event.poolable = True
-        heapq.heappush(self._heap, event)
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (time, seq, fn, args))
         self._live += 1
 
     # -- fault events ------------------------------------------------------------
@@ -222,13 +204,6 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------------
 
-    def _prune_cancelled(self) -> None:
-        """Pop tombstones off the top of the heap until a live event (or
-        nothing) is exposed. Shared by the run loop and :meth:`peek_time`."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-
     def _note_cancel(self) -> None:
         """Bookkeeping for one cancellation; compacts the calendar when
         tombstones outnumber live events (>50% of a non-trivial heap)."""
@@ -245,7 +220,9 @@ class Simulator:
         stays valid, and re-heapifies; pop order is unaffected because
         ordering is total on ``(time, seq)``."""
         heap = self._heap
-        heap[:] = [event for event in heap if not event.cancelled]
+        heap[:] = [
+            entry for entry in heap if entry[2] is not None or not entry[3].cancelled
+        ]
         heapq.heapify(heap)
         self.compactions += 1
 
@@ -269,30 +246,29 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         profiler = self.telemetry.profiler if self.telemetry is not None else None
-        heap = self._heap
-        free = self._free
-        free_max = self.FREE_LIST_MAX
         processed = 0
         hit_cap = False
         try:
             if profiler is None:
-                # Fast path: identical to the pre-telemetry loop.
+                heap = self._heap
+                pop = heapq.heappop
                 while heap:
-                    event = heap[0]
-                    if event.cancelled:
-                        self._prune_cancelled()
+                    time, _, fn, args = heap[0]
+                    if fn is None and args.cancelled:
+                        pop(heap)
                         continue
-                    if until is not None and event.time > until:
+                    if until is not None and time > until:
                         break
-                    heapq.heappop(heap)
+                    pop(heap)
+                    if fn is None:
+                        # Cancellable: consume the handle, so a late
+                        # cancel() is a no-op and nothing stays pinned.
+                        event = args
+                        fn, args = event.fn, event.args
+                        event.fn, event.args = None, ()
                     self._live -= 1
-                    self._now = event.time
-                    fn, args = event.fn, event.args
-                    event.fn, event.args = None, ()
-                    assert fn is not None
+                    self._now = time
                     fn(*args)
-                    if event.poolable and len(free) < free_max:
-                        free.append(event)
                     processed += 1
                     self._events_processed += 1
                     if max_events is not None and processed >= max_events:
@@ -315,8 +291,7 @@ class Simulator:
         """Run-loop variant that times every callback for the profiler.
         Returns ``(processed, hit_cap)``."""
         heap = self._heap
-        free = self._free
-        free_max = self.FREE_LIST_MAX
+        pop = heapq.heappop
         perf = _time.perf_counter
         site_name = profiler.site_name
         processed = 0
@@ -325,25 +300,24 @@ class Simulator:
         run_start = perf()
         try:
             while heap:
-                event = heap[0]
-                if event.cancelled:
-                    self._prune_cancelled()
+                time, _, fn, args = heap[0]
+                if fn is None and args.cancelled:
+                    pop(heap)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 profiler.note_heap_depth(len(heap))
-                heapq.heappop(heap)
+                pop(heap)
+                if fn is None:
+                    event = args
+                    fn, args = event.fn, event.args
+                    event.fn, event.args = None, ()
                 self._live -= 1
-                self._now = event.time
-                fn, args = event.fn, event.args
-                event.fn, event.args = None, ()
-                assert fn is not None
+                self._now = time
                 site = site_name(fn)
                 t0 = perf()
                 fn(*args)
                 profiler.record_callback(site, perf() - t0)
-                if event.poolable and len(free) < free_max:
-                    free.append(event)
                 processed += 1
                 self._events_processed += 1
                 if max_events is not None and processed >= max_events:
@@ -359,9 +333,11 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the calendar is empty."""
-        self._prune_cancelled()
         heap = self._heap
-        return heap[0].time if heap else None
+        # Tombstones at the head are not pending: drop them first.
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def advance_to(self, time: float) -> None:
         """Jump the clock straight to ``time`` without processing events.
@@ -374,7 +350,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("advance_to cannot be called from inside run()")
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"advance_to would move the clock backwards ({time} < {self._now})"
             )

@@ -306,7 +306,7 @@ class ShardRuntime:
                     f"boundary packet arrival {arrival_t} not after barrier "
                     f"{now}: lookahead contract violated"
                 )
-            sim.schedule_at(arrival_t, self._inject, link_id, seq, values)
+            sim.schedule_fire_at(arrival_t, self._inject, link_id, seq, values)
         return len(rows)
 
 

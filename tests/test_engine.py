@@ -1,9 +1,15 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.errors import SimulationError
-from repro.sim.engine import PeriodicTask, Simulator
+from repro.obs import Telemetry
+from repro.sim.engine import Event, PeriodicTask, Simulator
 
 
 class TestScheduling:
@@ -224,22 +230,6 @@ class TestScheduleFire:
         sim.run()
         assert fired == ["a", "b"]
 
-    def test_events_are_recycled(self):
-        sim = Simulator()
-        count = [0]
-
-        def chain():
-            count[0] += 1
-            if count[0] < 100:
-                sim.schedule_fire(0.01, chain)
-
-        sim.schedule_fire(0.01, chain)
-        sim.run()
-        assert count[0] == 100
-        # The whole chain should have been served by a handful of pooled
-        # Event objects, not 100 fresh allocations.
-        assert len(sim._free) <= 2
-
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule_fire(-0.1, lambda: None)
@@ -251,6 +241,228 @@ class TestScheduleFire:
         sim.schedule_fire(0.1, fired.append, "fire")
         sim.run()
         assert fired == ["handle", "fire"]
+
+    def test_equal_times_fire_in_call_order_without_comparing_callbacks(self):
+        # Lambdas and Event handles are unorderable: were a heap comparison
+        # ever to get past (time, seq) it would raise TypeError.
+        sim = Simulator()
+        fired = []
+        for i in range(50):
+            schedule = sim.schedule if i % 2 else sim.schedule_fire
+            schedule(0.5, lambda i=i: fired.append(i))
+        sim.run()
+        assert fired == list(range(50))
+
+    def test_calendar_never_compares_event_handles(self):
+        assert "__lt__" not in vars(Event)
+
+
+class TestTimeGuards:
+    @pytest.mark.parametrize(
+        "method", ["schedule", "schedule_at", "schedule_fire", "schedule_fire_at"]
+    )
+    def test_nan_time_rejected(self, method):
+        # NaN compares false with everything: `nan < 0` let it through,
+        # and a NaN key breaks the heap order of everything around it.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(float("nan"), lambda: None)
+        assert sim.pending_events() == 0
+
+    def test_advance_to_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.advance_to(float("nan"))
+        assert sim.now == 0.0
+
+    def test_infinite_time_is_legal_and_never_fires_in_a_bounded_run(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(math.inf, fired.append, "never")
+        sim.schedule_fire_at(math.inf, fired.append, "never")
+        sim.schedule(1.0, fired.append, "one")
+        assert sim.run(until=3.0) == 1
+        assert fired == ["one"]
+        assert sim.now == 3.0
+        assert sim.pending_events() == 2
+        assert sim.peek_time() == math.inf
+
+
+class TestCancelledHeadBeyondUntil:
+    """A tombstone on top of the heap whose time lies past the horizon
+    must not stand in for the live calendar behind it."""
+
+    def _calendar(self):
+        sim = Simulator()
+        fired = []
+        head = sim.schedule(5.0, fired.append, "cancelled")
+        sim.schedule(7.0, fired.append, "late")
+        head.cancel()
+        return sim, fired
+
+    def test_run_until(self):
+        sim, fired = self._calendar()
+        assert sim.run(until=1.0) == 0
+        assert sim.now == 1.0
+        assert sim.run(until=8.0) == 1
+        assert fired == ["late"]
+
+    def test_peek_time(self):
+        sim, _ = self._calendar()
+        assert sim.peek_time() == 7.0
+
+    def test_advance_to(self):
+        sim, _ = self._calendar()
+        sim.advance_to(6.0)  # past the tombstone, short of the live event
+        assert sim.now == 6.0
+        with pytest.raises(SimulationError):
+            sim.advance_to(7.5)
+
+
+class TestProfiledLoopParity:
+    @staticmethod
+    def _script(sim):
+        """One calendar exercising ties, handles, fire-and-forget events,
+        cancellation (before and during the run) and nested scheduling,
+        driven through both stop conditions."""
+        log = []
+
+        def note(label):
+            log.append((label, sim.now))
+
+        def spawn(label):
+            note(label)
+            sim.schedule_fire(0.0, note, label + "/now")
+            sim.schedule(0.25, note, label + "/later")
+
+        victims = [sim.schedule(0.5 + 0.01 * i, note, f"victim{i}") for i in range(80)]
+        sim.schedule(0.1, spawn, "a")
+        sim.schedule_fire(0.1, spawn, "b")
+        sim.schedule(0.3, lambda: [v.cancel() for v in victims[:70]])
+        victims[75].cancel()
+        sim.schedule_fire_at(2.0, note, "end")
+        counts = [sim.run(max_events=3), sim.run(until=0.6), sim.run()]
+        return log, counts, sim.now, sim.compactions
+
+    def test_plain_and_profiled_loops_run_the_same_callbacks(self):
+        plain = self._script(Simulator())
+        tele = Telemetry(profile=True)
+        profiled = self._script(Simulator(telemetry=tele))
+        assert plain == profiled
+        assert tele.profiler.events_executed == sum(plain[1])
+
+
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 4.0])
+
+
+class CalendarMachine(RuleBasedStateMachine):
+    """The calendar against a sorted-list reference model.
+
+    Delays are dyadic so the model's ``now + delay`` is exact and ties
+    are common; the model keeps ``[time, seq, state]`` rows and
+    fires the live ones in ``(time, seq)`` order.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulator()
+        self.fired = []
+        self.rows = []  # [time, seq, "live" | "cancelled" | "fired"]; seq is the label
+        self.handles = []  # (Event, row)
+        self.model_now = 0.0
+        self.model_fired = []
+        self.tombstone_cap = 0
+
+    def _add(self, delay, cancellable):
+        row = [self.model_now + delay, len(self.rows), "live"]
+        self.rows.append(row)
+        if cancellable:
+            self.handles.append((self.sim.schedule(delay, self.fired.append, row[1]), row))
+        else:
+            self.sim.schedule_fire(delay, self.fired.append, row[1])
+
+    def _live(self):
+        return sorted(row for row in self.rows if row[2] == "live")
+
+    def _model_fire(self, rows):
+        for row in rows:
+            row[2] = "fired"
+            self.model_now = row[0]
+            self.model_fired.append(row[1])
+
+    def _tombstones(self):
+        return self.sim.calendar_size() - self.sim.pending_events()
+
+    @rule(delay=DELAYS)
+    def schedule(self, delay):
+        self._add(delay, cancellable=True)
+
+    @rule(delay=DELAYS)
+    def schedule_fire(self, delay):
+        self._add(delay, cancellable=False)
+
+    @rule(delays=st.lists(DELAYS, min_size=40, max_size=90))
+    def schedule_burst(self, delays):
+        for delay in delays:
+            self._add(delay, cancellable=True)
+
+    def _cancel(self, indices):
+        for index in indices:
+            event, row = self.handles[index]
+            event.cancel()
+            if row[2] == "live":
+                row[2] = "cancelled"
+                # The compaction bound (docs/PERFORMANCE.md §1.1), checked
+                # where tombstones are made.
+                assert self._tombstones() <= max(
+                    self.sim.pending_events(), Simulator.COMPACT_MIN_CALENDAR)
+        self.tombstone_cap = self._tombstones()
+
+    @precondition(lambda self: self.handles)
+    @rule(data=st.data())
+    def cancel(self, data):
+        # Any handle ever returned: cancelling a fired or already-cancelled
+        # event must be a no-op.
+        self._cancel(data.draw(st.lists(
+            st.integers(0, len(self.handles) - 1), min_size=1, max_size=8)))
+
+    @rule(keep_every=st.integers(2, 9))
+    def cancel_most(self, keep_every):
+        # The RTO pattern: enough tombstones at once to force compaction.
+        self._cancel(i for i in range(len(self.handles)) if i % keep_every)
+
+    @rule(span=DELAYS)
+    def run_until(self, span):
+        until = self.model_now + span
+        due = [row for row in self._live() if row[0] <= until]
+        assert self.sim.run(until=until) == len(due)
+        self._model_fire(due)
+        self.model_now = until
+
+    @rule(cap=st.integers(1, 30))
+    def run_max_events(self, cap):
+        due = self._live()[:cap]
+        assert self.sim.run(max_events=cap) == len(due)
+        self._model_fire(due)
+
+    @rule()
+    def peek_time(self):
+        live = self._live()
+        assert self.sim.peek_time() == (live[0][0] if live else None)
+
+    @invariant()
+    def agrees_with_model(self):
+        assert self.fired == self.model_fired
+        assert self.sim.now == self.model_now
+        assert self.sim.pending_events() == len(self._live())
+        # Only cancel() makes tombstones; pops can only remove them.
+        assert self._tombstones() <= self.tombstone_cap
+
+
+TestCalendarMachine = CalendarMachine.TestCase
+TestCalendarMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
 
 
 class TestPeriodicTask:

@@ -77,6 +77,52 @@ class TestLinkAndTransmitter:
         assert link.stats.delivered_bytes == 1000
         assert link.stats.busy_time > 0
 
+    # Delivery times of a 1500 B packet offered at t=0 on a 3 Gbps / 7 us
+    # link, then 700 + 1100 + 900 B offered together at `_tx_end + us(offset)`;
+    # the hook variant drops the 700 B packet at egress. Computed at the
+    # commit before the pump was flattened and pinned bit for bit: the
+    # flat pump must keep every float expression.
+    PINNED_DELIVERIES = {
+        # offset in us: (no hook, hook dropping 700 B)
+        0.0: (  # exactly at end-of-serialization: the line has just gone idle
+            [(1500, 1.1e-05), (700, 1.2866666666666667e-05),
+             (1100, 1.58e-05), (900, 1.8200000000000002e-05)],
+            [(1500, 1.1e-05), (1100, 1.3933333333333334e-05),
+             (900, 1.6333333333333335e-05)],
+        ),
+        -1.5: (  # mid-serialization: deferred to a resume event at _tx_end
+            [(1500, 1.1e-05), (700, 1.2866666666666667e-05),
+             (1100, 1.58e-05), (900, 1.8200000000000002e-05)],
+            [(1500, 1.1e-05), (1100, 1.3933333333333334e-05),
+             (900, 1.6333333333333335e-05)],
+        ),
+        2.5: (  # after it, on an idle line
+            [(1500, 1.1e-05), (700, 1.5366666666666666e-05),
+             (1100, 1.8299999999999998e-05), (900, 2.07e-05)],
+            [(1500, 1.1e-05), (1100, 1.6433333333333334e-05),
+             (900, 1.8833333333333335e-05)],
+        ),
+    }
+
+    @pytest.mark.parametrize("offset", sorted(PINNED_DELIVERIES))
+    @pytest.mark.parametrize("drop_hook", [False, True])
+    def test_offer_timing_around_end_of_serialization(self, offset, drop_hook):
+        sim = Simulator()
+        deliveries = []
+        link = Link(sim, gbps(3), us(7), lambda p: deliveries.append((p.size, sim.now)))
+        tx = Transmitter(sim, PhysicalFifoQueue(limit_bytes=1_000_000), link)
+        if drop_hook:
+            tx.add_egress_hook(lambda packet, now: packet.size != 700)
+        tx.offer(make_udp("a", "b", 1, 1500))
+        assert tx.busy
+        for size in (700, 1100, 900):
+            sim.schedule_at(tx._tx_end + us(offset), tx.offer, make_udp("a", "b", 1, size))
+        sim.run()
+        assert deliveries == self.PINNED_DELIVERIES[offset][drop_hook]
+        assert link.stats.busy_time == (9.333333333333334e-06 if drop_hook
+                                        else 1.1200000000000001e-05)
+        assert not tx.busy
+
     def test_invalid_link_parameters(self):
         sim = Simulator()
         with pytest.raises(ConfigurationError):
