@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -649,11 +650,7 @@ def cmd_run_all(args) -> int:
     specs = filter_jobs(default_jobs(), args.filters)
     if args.timeout is not None:
         specs = [
-            type(spec)(
-                name=spec.name, target=spec.target, kwargs=spec.kwargs,
-                tags=spec.tags, timeout_s=args.timeout,
-            )
-            for spec in specs
+            dataclasses.replace(spec, timeout_s=args.timeout) for spec in specs
         ]
     if not specs:
         print("no jobs match the given --filter patterns", file=sys.stderr)
@@ -1414,64 +1411,54 @@ def main(argv: Optional[List[str]] = None) -> int:
         plan_scope = activate_fault_plan(plan)
 
     trace_path = getattr(args, "telemetry", None)
-    metrics_summary = getattr(args, "metrics_summary", False)
-    profile = getattr(args, "profile", False)
     flight_path = getattr(args, "flight_record", None)
-    audit = getattr(args, "audit", False)
-    flight_max = getattr(args, "flight_max", None)
     timewin_path = getattr(args, "timewin", None)
     timewin_ms = getattr(args, "timewin_ms", None)
-    if (
-        trace_path is None and not metrics_summary and not profile
-        and flight_path is None and not audit and timewin_path is None
-    ):
-        with plan_scope:
-            return args.fn(args)
-
-    try:
-        session = telemetry_session(
-            jsonl_path=trace_path, profile=profile,
-            flight_path=flight_path, audit=audit, flight_max=flight_max,
-            timewin_path=timewin_path,
-            timewin_window_s=timewin_ms * 1e-3 if timewin_ms is not None else None,
-        )
-        tele = session.__enter__()
-    except OSError as exc:
-        parser.error(f"cannot open telemetry output {trace_path!r}: {exc}")
-    try:
+    metrics_summary = getattr(args, "metrics_summary", False)
+    with contextlib.ExitStack() as stack:
+        try:
+            tele = stack.enter_context(telemetry_session(
+                jsonl_path=trace_path,
+                profile=getattr(args, "profile", False),
+                flight_path=flight_path,
+                audit=getattr(args, "audit", False),
+                flight_max=getattr(args, "flight_max", None),
+                timewin_path=timewin_path,
+                timewin_window_s=timewin_ms * 1e-3 if timewin_ms is not None else None,
+                metrics=metrics_summary,
+            ))
+        except OSError as exc:
+            parser.error(f"cannot open telemetry output {trace_path!r}: {exc}")
         with plan_scope:
             status = args.fn(args)
-    finally:
-        session.__exit__(None, None, None)
-    assert tele is not None
+    if tele is None:
+        return status
+    verdict = tele.report()
     if trace_path is not None:
-        snapshot = write_metrics_snapshot(tele, metrics_path_for(trace_path))
+        write_metrics_snapshot(verdict["metrics"], metrics_path_for(trace_path))
         print(f"telemetry: {tele.trace.events_published} events -> {trace_path}")
         print(f"metrics snapshot -> {metrics_path_for(trace_path)}")
-    else:
-        snapshot = tele.metrics.snapshot()
     if metrics_summary:
-        print(render_metrics_summary(snapshot))
-    if profile and tele.profiler is not None:
+        print(render_metrics_summary(verdict["metrics"]))
+    if tele.profiler is not None:
         print(tele.profiler.render())
-    if flight_path is not None and tele.flightrec is not None:
-        print(f"flight records: {tele.flightrec.flights_completed} flights "
+    if "flights" in verdict:
+        print(f"flight records: {verdict['flights']['total']} flights "
               f"-> {flight_path}")
-    if timewin_path is not None and tele.timewin is not None:
-        stats = tele.timewin.stats()
+    if "timewin" in verdict:
+        stats = verdict["timewin"]
         print(f"time windows: {stats['retained_windows']} windows retained "
               f"across {stats['ports']} ports "
               f"({stats['records']} records, {stats['evicted_windows']} "
               f"evicted) -> {timewin_path}")
-    if audit and tele.auditor is not None:
-        violations = tele.auditor.finish()
-        print(f"audit: {tele.auditor.events_seen:,} events checked, "
-              f"{len(violations)} violation(s)")
-        if violations:
-            for violation in violations[:10]:
-                print(f"  {violation.invariant} @ t={violation.time:.6f}s "
-                      f"{violation.subject}: {violation.message}",
-                      file=sys.stderr)
+    if "audit" in verdict:
+        audit = verdict["audit"]
+        print(f"audit: {audit['events_seen']:,} events checked, "
+              f"{audit['violation_count']} violation(s)")
+        if audit["violation_count"]:
+            for v in audit["violations"][:10]:
+                print(f"  {v['invariant']} @ t={v['time']:.6f}s "
+                      f"{v['subject']}: {v['message']}", file=sys.stderr)
             return max(status, 1)
     return status
 

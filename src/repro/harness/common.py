@@ -82,9 +82,17 @@ def telemetry_session(
     timewin: bool = False,
     timewin_path: Optional[str] = None,
     timewin_window_s: Optional[float] = None,
+    timewin_num_windows: Optional[int] = None,
+    timewin_slots_log2: Optional[int] = None,
+    metrics: bool = False,
 ) -> Iterator[Optional[Telemetry]]:
     """Ambiently instrument every simulator built inside the ``with`` body.
 
+    This is the one constructor of an instrumented run: the CLI, the
+    ``run-all`` worker, every shard partition
+    (:class:`~repro.sim.shard.PartitionSession`) and the self-auditing
+    jobs all build their telemetry here and read the verdict off
+    :meth:`Telemetry.report() <repro.obs.telemetry.Telemetry.report>`.
     Yields the active :class:`Telemetry` (or ``None`` when every option is
     off, so callers can wrap unconditionally::
 
@@ -94,17 +102,19 @@ def telemetry_session(
     ``flight_path`` installs the INT flight recorder (streaming completed
     flights to that JSONL file; ``flight_max`` bounds it to a most-recent
     ring); ``audit`` attaches a conservation-law
-    :class:`~repro.obs.RunAuditor` — read its verdict off
-    ``tele.auditor``; ``timewin``/``timewin_path`` install the
-    fixed-memory time-window recorder (dumping retained windows to
-    ``timewin_path`` on exit), with ``timewin_window_s`` overriding the
-    1 ms window. Sinks are flushed/closed on exit.
+    :class:`~repro.obs.RunAuditor`; ``timewin``/``timewin_path`` install
+    the fixed-memory time-window recorder (dumping retained windows to
+    ``timewin_path`` on exit), with ``timewin_window_s`` /
+    ``timewin_num_windows`` / ``timewin_slots_log2`` overriding the
+    1 ms x 32 windows x 64 slots ring; ``metrics`` asks for the bare
+    metrics registry with nothing else attached. Sinks are flushed/closed
+    on exit.
     """
     want_timewin = timewin or timewin_path is not None
     if (
         jsonl_path is None and not profile and ring_capacity is None
         and not summary and flight_path is None and not audit
-        and not want_timewin
+        and not want_timewin and not metrics
     ):
         yield None
         return
@@ -120,13 +130,16 @@ def telemetry_session(
     if audit:
         tele.enable_audit()
     if want_timewin:
-        tele.enable_time_windows(window_s=timewin_window_s)
+        tele.enable_time_windows(
+            window_s=timewin_window_s, num_windows=timewin_num_windows,
+            slots_log2=timewin_slots_log2,
+        )
     try:
         with tele.activate():
             yield tele
     finally:
         tele.close()
-        if timewin_path is not None and tele.timewin is not None:
+        if timewin_path is not None:
             tele.timewin.dump_jsonl(timewin_path)
 
 
@@ -170,8 +183,11 @@ class SharingEnv:
         approach: str,
         entities: Sequence[EntitySpec],
         bottleneck_bps: float,
+        network=None,
     ) -> None:
         self.approach = approach
+        #: The network the approach was installed on.
+        self.network = network
         self.entities = {spec.name: spec for spec in entities}
         self.bottleneck_bps = bottleneck_bps
         total_weight = sum(spec.weight for spec in entities)
@@ -255,7 +271,7 @@ def install_sharing(
         raise ConfigurationError(
             f"approach must be one of {APPROACHES}, got {approach!r}"
         )
-    env = SharingEnv(approach, entities, bottleneck_bps)
+    env = SharingEnv(approach, entities, bottleneck_bps, network)
     if approach == PQ:
         return env
 

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
-from ..sim.shard import ShardRuntime, run_lockstep, run_sharded
+from ..sim.shard import ShardRuntime, run_inline, run_sharded
 from ..topology.fattree import FatTree, FatTreeConfig, FatTreePlan, build_fattree
 from ..transport.udp import UdpSender, UdpSink
 from ..units import MTU_BYTES, gbps
@@ -388,8 +388,8 @@ def build_fabric_partition(
     sinks: Dict[int, UdpSink] = {}
     senders: Dict[int, UdpSender] = {}
 
-    def build_udp_matrix() -> None:
-        for flow in fabric_flows(config, intra_gbps, cross_gbps, packet_size):
+    def instantiate_udp(flows: List[dict]) -> None:
+        for flow in flows:
             # Sink before sender, mirroring UdpFlow construction order.
             if tree.owns(flow["dst"]):
                 sinks[flow["flow_id"]] = UdpSink(
@@ -403,6 +403,7 @@ def build_fabric_partition(
                     flow["flow_id"],
                     flow["rate_bps"],
                     packet_size=flow["packet_size"],
+                    aq_ingress_id=flow.get("aq_ingress_id", 0),
                 )
 
     tcp_senders: Dict[int, object] = {}
@@ -486,21 +487,7 @@ def build_fabric_partition(
                 net.sim.schedule_at(when, _rebalance)
 
         # The aggressor's CBR flows (AQ-tagged UDP).
-        for flow in spec["udp_flows"]:
-            if tree.owns(flow["dst"]):
-                sinks[flow["flow_id"]] = UdpSink(
-                    net.hosts[flow["dst"]], flow["flow_id"]
-                )
-            if tree.owns(flow["src"]):
-                senders[flow["flow_id"]] = UdpSender(
-                    net.sim,
-                    net.hosts[flow["src"]],
-                    flow["dst"],
-                    flow["flow_id"],
-                    flow["rate_bps"],
-                    packet_size=flow["packet_size"],
-                    aq_ingress_id=flow["aq_ingress_id"],
-                )
+        instantiate_udp(spec["udp_flows"])
 
         # TCP flows, receiver before sender (the receiver must be
         # registered on its host before the first data packet arrives;
@@ -525,7 +512,7 @@ def build_fabric_partition(
                 tcp_meta[fid] = flow
 
     if traffic == "udp":
-        build_udp_matrix()
+        instantiate_udp(fabric_flows(config, intra_gbps, cross_gbps, packet_size))
     else:
         build_mixed()
 
@@ -757,6 +744,22 @@ def partition_plan_summary(plan: FatTreePlan) -> dict:
     }
 
 
+#: Worker-report keys indexed in the manifest; the bulky ``result`` slices
+#: and ``metrics`` snapshots are merged into report.json / metrics.json.
+_MANIFEST_WORKER_KEYS = (
+    "partition", "status", "error", "wall_s", "events", "exported_packets",
+    "imported_packets", "audit", "timewin", "flights",
+)
+
+
+def _manifest_workers(workers: List[dict]) -> List[dict]:
+    return [
+        {key: worker[key] for key in _MANIFEST_WORKER_KEYS
+         if worker.get(key) is not None}
+        for worker in workers
+    ]
+
+
 def run_share_fabric(
     shards: int,
     duration: float,
@@ -777,24 +780,25 @@ def run_share_fabric(
     digestable report.
 
     ``inline=True`` drives every partition in this process via
-    :func:`~repro.sim.shard.run_lockstep` — required inside daemonic
+    :func:`~repro.sim.shard.run_inline` — required inside daemonic
     harness workers (which may not spawn children) and used by the
     equivalence tests; ``inline=False`` spawns one worker process per
-    partition via :func:`~repro.sim.shard.run_sharded`. Both produce
-    identical digests by construction.
+    partition via :func:`~repro.sim.shard.run_sharded`. Both build every
+    partition as a :class:`~repro.sim.shard.PartitionSession` (telemetry,
+    fault-plan slice, report), so digests, worker reports and artifacts
+    are identical by construction.
 
     The observability plane hangs off ``run_dir``: when set, the run
     writes a ledgered directory (:class:`repro.obs.runledger.RunLedger`)
     with a ``fabric-run/1`` manifest, a live ``health.jsonl`` heartbeat
     timeline, the merged ``metrics.json``, and auto-stitched window (and
-    flight) dumps. Time windows are then **on by default** (ROADMAP item
-    3) under ``timewin_budget`` bytes per port; pass ``timewin=False``
-    to opt out. Every layer is digest-neutral: the report's ``digest``
-    is identical with the plane fully on or fully off, at any shard
-    count (the ``shard/obs/*`` jobs assert this).
+    flight) dumps. Time windows are then **on by default** (the
+    default-on plane of docs/OBSERVABILITY.md) under ``timewin_budget``
+    bytes per port; pass ``timewin=False`` to opt out. Every layer is
+    digest-neutral: the report's ``digest`` is identical with the plane
+    fully on or fully off, at any shard count (the ``shard/obs/*`` jobs
+    assert this).
     """
-    import os
-
     from ..obs.runledger import RunLedger
 
     ledger = RunLedger(run_dir) if run_dir is not None else None
@@ -821,10 +825,8 @@ def run_share_fabric(
         heartbeat = ledger is not None
 
     health_sink = ledger.health_writer() if ledger and heartbeat else None
-    frames: List[dict] = []
 
     def handle_frame(frame: dict) -> None:
-        frames.append(frame)
         if health_sink is not None:
             health_sink(frame)
         if on_heartbeat is not None:
@@ -876,115 +878,20 @@ def run_share_fabric(
 
     t0 = time.perf_counter()
     try:
-        if inline:
-            import contextlib
-
-            from ..faults.injector import activate_fault_plan
-            from ..obs.telemetry import Telemetry
-            from ..sim.shard import HeartbeatTracker
-
-            if flight_dir is not None:
-                os.makedirs(flight_dir, exist_ok=True)
-            runtimes: List[ShardRuntime] = []
-            finalizers: List[Callable[[], dict]] = []
-            teles: List[Optional[Telemetry]] = []
-            for i in range(shards):
-                telemetry = None
-                if audit or timewin_dir is not None or flight_dir is not None:
-                    telemetry = Telemetry(enabled=True)
-                    if audit:
-                        telemetry.enable_audit()
-                    if timewin_dir is not None:
-                        telemetry.enable_time_windows(**(timewin_params or {}))
-                    if flight_dir is not None:
-                        telemetry.enable_flight_recording(
-                            os.path.join(flight_dir, f"shard{i}.flights.jsonl")
-                        )
-                with contextlib.ExitStack() as stack:
-                    if telemetry is not None:
-                        stack.enter_context(telemetry.activate())
-                    if fault_slices is not None:
-                        stack.enter_context(
-                            activate_fault_plan(FaultPlan.from_dict(fault_slices[i]))
-                        )
-                    runtime, finalize = build_fabric_partition(
-                        partition=i, shards=shards, **config_kwargs
-                    )
-                runtimes.append(runtime)
-                finalizers.append(finalize)
-                teles.append(telemetry)
-            on_epoch = None
-            if heartbeat:
-                trackers = [HeartbeatTracker(i) for i in range(shards)]
-
-                def on_epoch(epoch: int, barrier: float) -> None:
-                    for i, rt in enumerate(runtimes):
-                        handle_frame(trackers[i].frame(rt, epoch, barrier))
-
-            epochs = run_lockstep(runtimes, duration, on_epoch=on_epoch)
-            slices = [finalize() for finalize in finalizers]
-            workers = []
-            for i, telemetry in enumerate(teles):
-                worker: dict = {"partition": i, "status": "ok", "result": slices[i]}
-                worker["exported_packets"] = runtimes[i].exported_packets
-                worker["imported_packets"] = runtimes[i].imported_packets
-                worker["events"] = runtimes[i].sim.events_processed
-                if telemetry is not None:
-                    telemetry.close()
-                    if telemetry.timewin is not None and timewin_dir is not None:
-                        path = os.path.join(
-                            timewin_dir, f"shard{i}.windows.jsonl"
-                        )
-                        os.makedirs(timewin_dir, exist_ok=True)
-                        telemetry.timewin.dump_jsonl(path)
-                        worker["timewin_path"] = path
-                        worker["timewin"] = telemetry.timewin.stats()
-                    if telemetry.flightrec is not None and flight_dir is not None:
-                        index = telemetry.flightrec.index
-                        worker["flight_path"] = os.path.join(
-                            flight_dir, f"shard{i}.flights.jsonl"
-                        )
-                        worker["flights"] = {
-                            "total": index.total,
-                            "delivered": index.delivered,
-                            "dropped": index.dropped,
-                            "unfinished": index.unfinished,
-                            "exported": index.exported,
-                        }
-                    if telemetry.auditor is not None:
-                        verdict = telemetry.auditor.report()
-                        worker["audit"] = {
-                            "events_seen": verdict["events_seen"],
-                            "violation_count": verdict["violation_count"],
-                            "violations": verdict["violations"][:20],
-                        }
-                    worker["metrics"] = telemetry.metrics.snapshot()
-                workers.append(worker)
-            report["epochs"] = epochs
-        else:
-            run = run_sharded(
-                BUILDER_TARGET,
-                config_kwargs,
-                shards,
-                duration,
-                plan.lookahead,
-                audit=audit,
-                timewin_dir=timewin_dir,
-                timewin_params=timewin_params,
-                fault_plans=fault_slices,
-                heartbeat=heartbeat,
-                flight_dir=flight_dir,
-                on_heartbeat=handle_frame,
-            )
-            workers = run.workers
-            for i, worker in enumerate(workers):
-                if timewin_dir is not None:
-                    worker.setdefault(
-                        "timewin_path",
-                        os.path.join(timewin_dir, f"shard{i}.windows.jsonl"),
-                    )
-            report["epochs"] = run.epochs
-            slices = run.results()
+        run = (run_inline if inline else run_sharded)(
+            BUILDER_TARGET,
+            config_kwargs,
+            shards,
+            duration,
+            plan.lookahead,
+            audit=audit,
+            timewin_dir=timewin_dir,
+            timewin_params=timewin_params,
+            fault_plans=fault_slices,
+            heartbeat=heartbeat,
+            flight_dir=flight_dir,
+            on_heartbeat=handle_frame,
+        )
     except BaseException as exc:
         if ledger is not None:
             # Index the failure before flipping the manifest to "failed":
@@ -1002,50 +909,38 @@ def run_share_fabric(
             }
             worker_reports = getattr(exc, "worker_reports", None)
             if worker_reports:
-                manifest["workers"] = [
-                    {
-                        key: worker.get(key)
-                        for key in ("partition", "status", "error", "wall_s")
-                        if worker.get(key) is not None
-                    }
-                    for worker in worker_reports
-                ]
+                manifest["workers"] = _manifest_workers(worker_reports)
             if health_sink is not None:
                 ledger.close_health()
             ledger.finalize(manifest, status="failed")
         raise
 
     report["wall_s"] = time.perf_counter() - t0
-    merged = merge_results(slices)
+    report["epochs"] = run.epochs
+    workers = run.workers
+    merged = merge_results(run.results())
     report["results"] = merged
     report["digest"] = fabric_digest(merged)
     fct = fabric_fct_summary(merged, config)
     if fct is not None:
         report["fct"] = fct
     report["boundary"] = {
-        "exported": sum(w.get("exported_packets", 0) for w in workers),
-        "imported": sum(w.get("imported_packets", 0) for w in workers),
+        "exported": sum(w["exported_packets"] for w in workers),
+        "imported": sum(w["imported_packets"] for w in workers),
     }
     if audit:
+        verdicts = [w["audit"] for w in workers]
         report["audit"] = {
-            "violation_count": sum(
-                w.get("audit", {}).get("violation_count", 0) for w in workers
-            ),
-            "events_seen": sum(
-                w.get("audit", {}).get("events_seen", 0) for w in workers
-            ),
-            "per_partition": [w.get("audit") for w in workers],
+            "violation_count": sum(v["violation_count"] for v in verdicts),
+            "events_seen": sum(v["events_seen"] for v in verdicts),
+            "per_partition": verdicts,
         }
     if timewin_dir is not None:
-        report["timewin_paths"] = [
-            w.get("timewin_path") for w in workers if w.get("timewin_path")
-        ]
+        report["timewin_paths"] = [w["timewin_path"] for w in workers]
     if flight_dir is not None:
-        report["flight_paths"] = [
-            w.get("flight_path") for w in workers if w.get("flight_path")
-        ]
+        report["flight_paths"] = [w["flight_path"] for w in workers]
     if heartbeat:
-        report["heartbeat_frames"] = len(frames)
+        report["heartbeat_frames"] = len(run.heartbeats)
 
     if ledger is not None:
         from ..obs.metrics import merge_metrics_snapshots
@@ -1097,18 +992,7 @@ def run_share_fabric(
                 "violation_count": report["audit"]["violation_count"],
                 "events_seen": report["audit"]["events_seen"],
             }
-        manifest["workers"] = [
-            {
-                key: worker.get(key)
-                for key in (
-                    "partition", "status", "wall_s", "events",
-                    "exported_packets", "imported_packets", "audit",
-                    "timewin", "flights",
-                )
-                if worker.get(key) is not None
-            }
-            for worker in workers
-        ]
-        manifest["heartbeat_frames"] = len(frames)
+        manifest["workers"] = _manifest_workers(workers)
+        manifest["heartbeat_frames"] = len(run.heartbeats)
         report["manifest_path"] = ledger.finalize(manifest)
     return report

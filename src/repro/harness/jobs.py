@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..units import gbps
-from .common import EntitySpec
+from .common import EntitySpec, telemetry_session
 from .runner import JobSpec
 
 _HERE = __name__  # jobs resolve their targets from this module
@@ -247,15 +247,13 @@ def job_timewin_validate(
     FlightIndex ground truth per (port, window, flow). The returned
     verdict is deterministic, so these jobs fold into the sweep digest.
     """
-    from ..obs.telemetry import Telemetry
     from ..obs.timewin import FlightCollector, crosscheck_with_flights
     from .scenarios import run_cc_pair, run_longlived_share
 
-    tele = Telemetry(enabled=True)
-    recorder = tele.enable_time_windows(window_s=window_ms * 1e-3)
     collector = FlightCollector()
-    tele.enable_flight_recording().attach(collector)
-    with tele.activate():
+    with telemetry_session(timewin=True, timewin_window_s=window_ms * 1e-3) as tele:
+        # In-memory flights only (no dump file): install before the build.
+        tele.enable_flight_recording().attach(collector)
         if scenario == "cc-pair":
             run_cc_pair(
                 "cubic", 2, "dctcp", 2, "aq",
@@ -284,11 +282,10 @@ def job_timewin_validate(
             )
         else:
             raise ValueError(f"unknown timewin scenario {scenario!r}")
-    tele.close()
-    verdict = crosscheck_with_flights(recorder, collector.flights)
+    verdict = crosscheck_with_flights(tele.timewin, collector.flights)
     verdict["scenario"] = scenario
     verdict["flights"] = len(collector.flights)
-    verdict["recorder"] = recorder.stats()
+    verdict["recorder"] = tele.report()["timewin"]
     # Bound the payload: the first mismatches are enough to diagnose.
     verdict["mismatches"] = verdict["mismatches"][:5]
     if not verdict["ok"]:
@@ -319,7 +316,6 @@ def job_fluid_equiv(
     splits the trunk buffer asymmetrically during the initial A-Gap
     fill, worth about one bottleneck buffer of bytes per entity.
     """
-    from ..obs.telemetry import Telemetry
     from .scenarios import run_fluid_share
 
     if scenario == "udp-basic":
@@ -357,15 +353,12 @@ def job_fluid_equiv(
     }
     delivered: Dict[str, Dict[str, int]] = {}
     for mode in ("packet", "fluid"):
-        tele = Telemetry(enabled=True)
-        auditor = tele.enable_audit()
-        with tele.activate():
+        with telemetry_session(audit=True) as tele:
             result = run_fluid_share(
                 entities, approach, bottleneck_bps=bottleneck_bps,
                 duration=duration, fluid=(mode == "fluid"),
             )
-        tele.close()
-        report = auditor.report()
+        report = tele.report()["audit"]
         out[f"{mode}_violations"] = report["violation_count"]
         if report["violation_count"]:
             raise AssertionError(

@@ -49,13 +49,11 @@ def print_experiment(title: str, body: str) -> None:
 # -- telemetry output ----------------------------------------------------------
 
 
-def write_metrics_snapshot(telemetry, path: str) -> dict:
-    """Dump the registry (collectors included) as JSON; returns the dict."""
-    snapshot = telemetry.metrics.snapshot()
+def write_metrics_snapshot(snapshot: dict, path: str) -> None:
+    """Dump a metrics-registry snapshot (collectors included) as JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return snapshot
 
 
 def render_metrics_summary(snapshot: dict, max_rows: Optional[int] = 40) -> str:

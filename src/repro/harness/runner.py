@@ -126,62 +126,46 @@ def resolve_target(target: str) -> Callable[..., dict]:
         ) from exc
 
 
-def _worker_main(payload: dict, conn) -> None:
-    """Worker-process entry point: run one job and send its report back."""
+def seed_worker(seed: int) -> None:
+    """Seed the process-global RNGs of a fresh worker (run-all and shard
+    workers alike) from its stable per-job / per-partition seed."""
     import random
 
+    random.seed(seed)
+    try:  # NumPy is a hard dependency, but stay import-error-proof.
+        import numpy
+
+        numpy.random.seed(seed % 2**32)
+    except Exception:
+        pass
+
+
+def _worker_main(payload: dict, conn) -> None:
+    """Worker-process entry point: run one job and send its report back."""
     report: dict = {"name": payload["name"]}
     try:
-        seed = payload["worker_seed"]
-        random.seed(seed)
-        try:  # NumPy is a hard dependency, but stay import-error-proof.
-            import numpy
-
-            numpy.random.seed(seed % 2**32)
-        except Exception:
-            pass
+        seed_worker(payload["worker_seed"])
         fn = resolve_target(payload["target"])
-        telemetry = None
-        if (
-            payload.get("profile") or payload.get("audit")
-            or payload.get("flight_path") or payload.get("timewin_path")
-        ):
-            from ..obs.telemetry import Telemetry
+        from .common import telemetry_session
 
-            telemetry = Telemetry(enabled=True, profile=bool(payload.get("profile")))
-            if payload.get("audit"):
-                telemetry.enable_audit()
-            if payload.get("flight_path"):
-                telemetry.enable_flight_recording(payload["flight_path"])
-            if payload.get("timewin_path"):
-                telemetry.enable_time_windows()
         t0 = time.perf_counter()
-        if telemetry is not None:
-            with telemetry.activate():
-                result = fn(**payload["kwargs"])
-        else:
+        with telemetry_session(
+            profile=bool(payload.get("profile")),
+            audit=bool(payload.get("audit")),
+            flight_path=payload.get("flight_path"),
+            timewin_path=payload.get("timewin_path"),
+        ) as telemetry:
             result = fn(**payload["kwargs"])
         report["wall_s"] = time.perf_counter() - t0
         report["status"] = STATUS_OK
         report["result"] = result
         if telemetry is not None:
-            telemetry.close()
-            if telemetry.timewin is not None and payload.get("timewin_path"):
-                # Window dump + stats ride outside ``result`` (like profile/
-                # audit) so recording cannot perturb the results digest.
-                telemetry.timewin.dump_jsonl(payload["timewin_path"])
-                report["timewin"] = telemetry.timewin.stats()
-            if telemetry.profiler is not None:
-                report["profile"] = telemetry.profiler.snapshot()
-            if telemetry.auditor is not None:
-                verdict = telemetry.auditor.report()
-                # Ship a bounded verdict: the flow ledgers and deep violation
-                # windows stay in the worker; 20 violations diagnose a run.
-                report["audit"] = {
-                    "events_seen": verdict["events_seen"],
-                    "violation_count": verdict["violation_count"],
-                    "violations": verdict["violations"][:20],
-                }
+            # Verdicts ride outside ``result`` so that recording cannot
+            # perturb the results digest.
+            verdict = telemetry.report()
+            for key in ("timewin", "profile", "audit"):
+                if key in verdict:
+                    report[key] = verdict[key]
     except BaseException:
         report["status"] = STATUS_FAILED
         report["error"] = traceback.format_exc(limit=20)
@@ -416,14 +400,9 @@ def result_line(result: JobResult) -> dict:
         "attempts": result.attempts,
         "wall_s": result.wall_s,
     }
-    if result.error is not None:
-        line["error"] = result.error
-    if result.profile is not None:
-        line["profile"] = result.profile
-    if result.audit is not None:
-        line["audit"] = result.audit
-    if result.timewin is not None:
-        line["timewin"] = result.timewin
+    for key in ("error", "profile", "audit", "timewin"):
+        if getattr(result, key) is not None:
+            line[key] = getattr(result, key)
     return line
 
 

@@ -105,6 +105,66 @@ def _build_dumbbell_for(
     return dumbbell, src_hosts, dst_hosts
 
 
+def _attach_longlived_flows(
+    network,
+    env: SharingEnv,
+    entities: Sequence[EntitySpec],
+    src_hosts: Dict[str, List[str]],
+    dst_hosts: Dict[str, List[str]],
+    meter_interval: Optional[float],
+) -> Tuple[Dict[str, ThroughputMeter], Dict[str, List[UdpFlow]]]:
+    """Start every entity's long-lived flows (round-robin over its VMs,
+    tagged with its AQ id); returns ``(meters, udp_flows)`` per entity.
+
+    ``meter_interval=None`` attaches no meters: a periodic meter keeps the
+    calendar non-empty, which would cut fluid epochs short. Each entity's
+    meter is created right before its flows — construction order is event
+    order, and the digests depend on it.
+    """
+    meters: Dict[str, ThroughputMeter] = {}
+    udp_flows: Dict[str, List[UdpFlow]] = {}
+    for spec in entities:
+        on_deliver = None
+        if meter_interval is not None:
+            meters[spec.name] = ThroughputMeter(
+                network.sim, meter_interval, name=spec.name
+            )
+            on_deliver = meters[spec.name].add
+        srcs = src_hosts[spec.name]
+        dsts = dst_hosts[spec.name]
+        ingress_id = env.aq_ingress_id(spec.name)
+        if spec.is_udp:
+            rate = spec.udp_rate_bps or env.bottleneck_bps
+            udp_flows[spec.name] = [
+                UdpFlow(
+                    network,
+                    srcs[i % len(srcs)],
+                    dsts[i % len(dsts)],
+                    rate / spec.num_flows,
+                    start_time=spec.start_time,
+                    stop_time=spec.stop_time,
+                    aq_ingress_id=ingress_id,
+                    on_deliver=on_deliver,
+                )
+                for i in range(spec.num_flows)
+            ]
+            continue
+        for i in range(spec.num_flows):
+            conn = TcpConnection(
+                network,
+                srcs[i % len(srcs)],
+                dsts[i % len(dsts)],
+                env.make_cc(spec.name),
+                size_bytes=None,
+                start_time=spec.start_time,
+                aq_ingress_id=ingress_id,
+                on_deliver=on_deliver,
+            )
+            if spec.stop_time is not None:
+                network.sim.schedule_at(spec.stop_time, conn.sender.stop)
+    return meters, udp_flows
+
+
 def run_longlived_share(
     entities: Sequence[EntitySpec],
     approach: str,
@@ -150,42 +210,10 @@ def run_longlived_share(
         reallocation_interval=reallocation_interval,
     )
 
-    interval = meter_interval if meter_interval is not None else duration / 60.0
-    meters: Dict[str, ThroughputMeter] = {}
-    for spec in entities:
-        meter = ThroughputMeter(network.sim, interval, name=spec.name)
-        meters[spec.name] = meter
-        srcs = src_hosts[spec.name]
-        dsts = dst_hosts[spec.name]
-        ingress_id = env.aq_ingress_id(spec.name)
-        if spec.is_udp:
-            rate = spec.udp_rate_bps or bottleneck_bps
-            for i in range(spec.num_flows):
-                flow = UdpFlow(
-                    network,
-                    srcs[i % len(srcs)],
-                    dsts[i % len(dsts)],
-                    rate / spec.num_flows,
-                    start_time=spec.start_time,
-                    stop_time=spec.stop_time,
-                    aq_ingress_id=ingress_id,
-                    on_deliver=meter.add,
-                )
-                del flow
-        else:
-            for i in range(spec.num_flows):
-                conn = TcpConnection(
-                    network,
-                    srcs[i % len(srcs)],
-                    dsts[i % len(dsts)],
-                    env.make_cc(spec.name),
-                    size_bytes=None,
-                    start_time=spec.start_time,
-                    aq_ingress_id=ingress_id,
-                    on_deliver=meter.add,
-                )
-                if spec.stop_time is not None:
-                    network.sim.schedule_at(spec.stop_time, conn.sender.stop)
+    meters, _ = _attach_longlived_flows(
+        network, env, entities, src_hosts, dst_hosts,
+        meter_interval if meter_interval is not None else duration / 60.0,
+    )
 
     network.run(until=duration)
     for meter in meters.values():
@@ -1077,43 +1105,11 @@ def run_switch_restart(
     fault_at = min((e.time for e in plan.events), default=restart_at)
 
     with plan_scope:
-        dumbbell, src_hosts, dst_hosts = _build_dumbbell_for(
-            entities, approach, bottleneck_bps, seed
+        share = run_longlived_share(
+            entities, approach, bottleneck_bps, duration, warmup, seed,
+            meter_interval=meter_interval,
         )
-    network = dumbbell.network
-    env = install_sharing(
-        network,
-        Dumbbell.LEFT_SWITCH,
-        bottleneck_bps,
-        entities,
-        approach,
-        src_hosts,
-        dst_hosts,
-    )
-
-    interval = meter_interval if meter_interval is not None else duration / 60.0
-    meters: Dict[str, ThroughputMeter] = {}
-    for spec in entities:
-        meter = ThroughputMeter(network.sim, interval, name=spec.name)
-        meters[spec.name] = meter
-        srcs = src_hosts[spec.name]
-        dsts = dst_hosts[spec.name]
-        ingress_id = env.aq_ingress_id(spec.name)
-        for i in range(spec.num_flows):
-            TcpConnection(
-                network,
-                srcs[i % len(srcs)],
-                dsts[i % len(dsts)],
-                env.make_cc(spec.name),
-                size_bytes=None,
-                start_time=spec.start_time,
-                aq_ingress_id=ingress_id,
-                on_deliver=meter.add,
-            )
-
-    network.run(until=duration)
-    for meter in meters.values():
-        meter.stop()
+    meters, env, network = share.meters, share.env, share.env.network
 
     # The degraded window itself is short (one redeploy backoff step);
     # transports need longer to refill the pipe, so give them half the
@@ -1248,34 +1244,17 @@ def run_fluid_share(
         aq_limit_bytes=aq_limit_bytes,
     )
 
-    flows: Dict[str, List[UdpFlow]] = {}
-    all_flows: List[UdpFlow] = []
-    for spec in entities:
-        srcs = src_hosts[spec.name]
-        dsts = dst_hosts[spec.name]
-        ingress_id = env.aq_ingress_id(spec.name)
-        rate = spec.udp_rate_bps or bottleneck_bps
-        entity_flows = []
-        for i in range(spec.num_flows):
-            flow = UdpFlow(
-                network,
-                srcs[i % len(srcs)],
-                dsts[i % len(dsts)],
-                rate / spec.num_flows,
-                start_time=spec.start_time,
-                stop_time=spec.stop_time,
-                aq_ingress_id=ingress_id,
-            )
-            entity_flows.append(flow)
-            all_flows.append(flow)
-        flows[spec.name] = entity_flows
+    _, flows = _attach_longlived_flows(
+        network, env, entities, src_hosts, dst_hosts, meter_interval=None
+    )
 
     fluid_stats: dict = {}
     if fluid:
         from ..sim.fluid import FluidEngine
 
         engine = FluidEngine(
-            network, all_flows, min_epoch=min_epoch,
+            network, [f for group in flows.values() for f in group],
+            min_epoch=min_epoch,
             retry_interval=retry_interval,
         )
         engine.run(until=duration)

@@ -143,6 +143,41 @@ class Telemetry:
         if self.flightrec is not None:
             self.flightrec.close()
 
+    def report(self) -> dict:
+        """The bounded, JSON-safe end-of-run verdict every driver ships.
+
+        Closes the sinks first (idempotent) — closing seals the flights of
+        packets still queued, so the ``flights`` summary is only complete
+        afterwards. One key per *installed* recorder: ``audit`` (the flow
+        ledgers and deep violation windows stay behind; 20 violations
+        diagnose a run), ``timewin`` stats, ``flights`` index summary,
+        ``profile`` snapshot; ``metrics`` is always there.
+        """
+        self.close()
+        out: dict = {}
+        if self.auditor is not None:
+            verdict = self.auditor.report()
+            out["audit"] = {
+                "events_seen": verdict["events_seen"],
+                "violation_count": verdict["violation_count"],
+                "violations": verdict["violations"][:20],
+            }
+        if self.timewin is not None:
+            out["timewin"] = self.timewin.stats()
+        if self.flightrec is not None:
+            index = self.flightrec.index
+            out["flights"] = {
+                "total": index.total,
+                "delivered": index.delivered,
+                "dropped": index.dropped,
+                "unfinished": index.unfinished,
+                "exported": index.exported,
+            }
+        if self.profiler is not None:
+            out["profile"] = self.profiler.snapshot()
+        out["metrics"] = self.metrics.snapshot()
+        return out
+
     # -- ambient installation --------------------------------------------------
 
     @contextlib.contextmanager

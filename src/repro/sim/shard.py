@@ -68,11 +68,14 @@ from the plan RNG (with several corrupting links the single-process run
 interleaves one RNG stream across them in global arrival order, which a
 partitioned run cannot reproduce); blackouts and restarts are exact.
 
-Two drivers share all of the above:
+Two drivers share all of the above, and one :class:`PartitionSession`
+per partition (telemetry, fault-plan slice, build, worker report), so
+they return the same :class:`ShardRunReport`:
 
-* :func:`run_lockstep` — every partition in one process (tests, the
-  ``shard/equiv/*`` jobs, and the deterministic-ordering regression
-  which permutes batch arrival order);
+* :func:`run_inline` — every partition in one process, stepped by
+  :func:`run_lockstep` (tests and the ``shard/equiv/*`` jobs; the
+  deterministic-ordering regression calls :func:`run_lockstep` itself to
+  permute batch arrival order);
 * :func:`run_sharded` — spawn-isolated workers (one process per
   partition) exchanging batches over pipes, reusing the
   :mod:`repro.harness.runner` worker conventions.
@@ -80,6 +83,7 @@ Two drivers share all of the above:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import multiprocessing
 import time
@@ -417,7 +421,7 @@ def run_lockstep(
     return len(schedule)
 
 
-# -- spawn-isolated workers ----------------------------------------------------
+# -- one partition, built and reported one way ---------------------------------
 
 
 def shard_worker_seed(seed_base: str, partition: int) -> int:
@@ -426,8 +430,148 @@ def shard_worker_seed(seed_base: str, partition: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def partition_payloads(
+    builder: str,
+    kwargs: dict,
+    shards: int,
+    duration: float,
+    lookahead: float,
+    audit: bool = False,
+    timewin_dir: Optional[str] = None,
+    timewin_params: Optional[dict] = None,
+    fault_plans: Optional[List[Optional[dict]]] = None,
+    seed_base: str = "shard",
+    heartbeat: bool = False,
+    flight_dir: Optional[str] = None,
+) -> List[dict]:
+    """The picklable description of every partition of one run — what a
+    :class:`PartitionSession` is built from, in either driver. Creates the
+    artifact directories and names the per-shard ``shard{i}.windows.jsonl``
+    / ``shard{i}.flights.jsonl`` files."""
+    import os
+
+    if shards < 1:
+        raise ConfigurationError(f"shards must be >= 1, got {shards}")
+    for directory in (timewin_dir, flight_dir):
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+
+    def shard_file(directory: Optional[str], i: int, kind: str) -> Optional[str]:
+        if directory is None:
+            return None
+        return os.path.join(directory, f"shard{i}.{kind}.jsonl")
+
+    return [
+        {
+            "partition": i,
+            "shards": shards,
+            "builder": builder,
+            "kwargs": dict(kwargs),
+            "worker_seed": shard_worker_seed(seed_base, i),
+            "duration": duration,
+            "lookahead": lookahead,
+            "audit": audit,
+            "timewin": timewin_params,
+            "timewin_path": shard_file(timewin_dir, i, "windows"),
+            "flight_path": shard_file(flight_dir, i, "flights"),
+            "heartbeat": heartbeat,
+            "faults": fault_plans[i] if fault_plans else None,
+        }
+        for i in range(shards)
+    ]
+
+
+class PartitionSession:
+    """One partition of a sharded run: telemetry, fault plan, the built
+    :class:`ShardRuntime` and its report — the same object whether the
+    partition runs in a spawned worker or inline beside its peers.
+
+    Entering builds the partition (``builder(partition=…, shards=…,
+    **kwargs)`` under its own :func:`~repro.harness.common.telemetry_session`
+    and, if the payload carries one, its slice of the fault plan) and
+    checks the lookahead; :meth:`report` is the worker report both drivers
+    ship; leaving closes the telemetry and dumps the windows. Sessions
+    nest: inline drivers must leave them in reverse order of entry (a
+    :class:`contextlib.ExitStack` does).
+    """
+
+    def __init__(self, payload: dict) -> None:
+        self.payload = payload
+        self.partition: int = payload["partition"]
+        self.runtime: Optional[ShardRuntime] = None
+        self.telemetry = None
+        self._finalize: Optional[Callable[[], dict]] = None
+        self._exit: Optional[contextlib.ExitStack] = None
+        self._t0 = 0.0
+
+    def __enter__(self) -> "PartitionSession":
+        from ..harness.common import telemetry_session
+        from ..harness.runner import resolve_target
+
+        payload = self.payload
+        with contextlib.ExitStack() as stack:
+            self.telemetry = stack.enter_context(telemetry_session(
+                audit=bool(payload.get("audit")),
+                flight_path=payload.get("flight_path"),
+                timewin_path=payload.get("timewin_path"),
+                **{f"timewin_{key}": value
+                   for key, value in (payload.get("timewin") or {}).items()},
+            ))
+            fault_scope = contextlib.nullcontext()
+            if payload.get("faults"):
+                from ..faults.injector import activate_fault_plan
+                from ..faults.plan import FaultPlan
+
+                fault_scope = activate_fault_plan(
+                    FaultPlan.from_dict(payload["faults"])
+                )
+            with fault_scope:
+                self.runtime, self._finalize = resolve_target(payload["builder"])(
+                    partition=self.partition,
+                    shards=payload["shards"],
+                    **payload["kwargs"],
+                )
+            if self.runtime.lookahead != payload["lookahead"]:
+                raise ShardError(
+                    f"worker lookahead {self.runtime.lookahead} disagrees with "
+                    f"coordinator {payload['lookahead']}"
+                )
+            self._exit = stack.pop_all()
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._exit.close()
+
+    def report(self) -> dict:
+        """This partition's worker report: the result slice, the boundary
+        and event counters, ``wall_s`` since the build finished (inline
+        partitions interleave in one thread, so theirs overlap), the
+        artifact paths, and the :meth:`Telemetry.report` verdict."""
+        runtime = self.runtime
+        out: dict = {
+            "partition": self.partition,
+            "status": "ok",
+            "result": self._finalize(),
+            "wall_s": time.perf_counter() - self._t0,
+            "exported_packets": runtime.exported_packets,
+            "imported_packets": runtime.imported_packets,
+            "events": runtime.sim.events_processed,
+        }
+        if self.telemetry is not None:
+            for key in ("timewin_path", "flight_path"):
+                if self.payload.get(key):
+                    out[key] = self.payload[key]
+            out.update(self.telemetry.report())
+        return out
+
+
+# -- spawn-isolated workers ----------------------------------------------------
+
+
 def _shard_worker_main(payload: dict, conn) -> None:
-    """Worker entry point: build one partition, lockstep over the pipe.
+    """Worker entry point: one :class:`PartitionSession`, lockstep over
+    the pipe.
 
     Protocol (worker side): per epoch optionally send ``("hb", epoch,
     frame)`` (when the payload enables heartbeats), then send ``("out",
@@ -437,56 +581,14 @@ def _shard_worker_main(payload: dict, conn) -> None:
     ``status="failed"`` so the coordinator can abort the round instead of
     deadlocking.
     """
-    import contextlib
-    import random
-
-    report: dict = {"partition": payload["partition"], "status": "failed"}
+    partition = payload["partition"]
+    report: dict = {"partition": partition, "status": "failed"}
     try:
-        seed = payload["worker_seed"]
-        random.seed(seed)
-        try:
-            import numpy
+        from ..harness.runner import seed_worker
 
-            numpy.random.seed(seed % 2**32)
-        except Exception:
-            pass
-        from ..harness.runner import resolve_target
-
-        telemetry = None
-        if (payload.get("audit") or payload.get("timewin_path")
-                or payload.get("flight_path")):
-            from ..obs.telemetry import Telemetry
-
-            telemetry = Telemetry(enabled=True)
-            if payload.get("audit"):
-                telemetry.enable_audit()
-            if payload.get("timewin_path"):
-                telemetry.enable_time_windows(**(payload.get("timewin") or {}))
-            if payload.get("flight_path"):
-                telemetry.enable_flight_recording(payload["flight_path"])
-        builder = resolve_target(payload["builder"])
-        partition = payload["partition"]
-        with contextlib.ExitStack() as stack:
-            if telemetry is not None:
-                stack.enter_context(telemetry.activate())
-            if payload.get("faults"):
-                from ..faults.injector import activate_fault_plan
-                from ..faults.plan import FaultPlan
-
-                stack.enter_context(
-                    activate_fault_plan(FaultPlan.from_dict(payload["faults"]))
-                )
-            runtime, finalize = builder(
-                partition=partition,
-                shards=payload["shards"],
-                **payload["kwargs"],
-            )
-            if runtime.lookahead != payload["lookahead"]:
-                raise ShardError(
-                    f"worker lookahead {runtime.lookahead} disagrees with "
-                    f"coordinator {payload['lookahead']}"
-                )
-            t0 = time.perf_counter()
+        seed_worker(payload["worker_seed"])
+        with PartitionSession(payload) as session:
+            runtime = session.runtime
             tracker = (
                 HeartbeatTracker(partition)
                 if payload.get("heartbeat") else None
@@ -515,36 +617,8 @@ def _shard_worker_main(payload: dict, conn) -> None:
                 if len(local):
                     batches.append(local)
                 runtime.apply_inbound(batches)
-            result = finalize()
-        report["wall_s"] = time.perf_counter() - t0
-        report["status"] = "ok"
-        report["result"] = result
-        report["exported_packets"] = runtime.exported_packets
-        report["imported_packets"] = runtime.imported_packets
-        report["events"] = runtime.sim.events_processed
-        if telemetry is not None:
-            telemetry.close()
-            if telemetry.timewin is not None and payload.get("timewin_path"):
-                telemetry.timewin.dump_jsonl(payload["timewin_path"])
-                report["timewin"] = telemetry.timewin.stats()
-            if telemetry.flightrec is not None and payload.get("flight_path"):
-                index = telemetry.flightrec.index
-                report["flight_path"] = payload["flight_path"]
-                report["flights"] = {
-                    "total": index.total,
-                    "delivered": index.delivered,
-                    "dropped": index.dropped,
-                    "unfinished": index.unfinished,
-                    "exported": index.exported,
-                }
-            if telemetry.auditor is not None:
-                verdict = telemetry.auditor.report()
-                report["audit"] = {
-                    "events_seen": verdict["events_seen"],
-                    "violation_count": verdict["violation_count"],
-                    "violations": verdict["violations"][:20],
-                }
-            report["metrics"] = telemetry.metrics.snapshot()
+            final = session.report()
+        report = final  # only once the session closed: the dumps are on disk
     except BaseException:
         report["error"] = traceback.format_exc(limit=20)
     try:
@@ -555,13 +629,13 @@ def _shard_worker_main(payload: dict, conn) -> None:
 
 @dataclass
 class ShardRunReport:
-    """Outcome of one :func:`run_sharded` coordinator round."""
+    """Outcome of one :func:`run_sharded` / :func:`run_inline` round."""
 
     shards: int
     epochs: int
     wall_s: float
-    #: Per-partition worker reports (``status``, ``result``, ``audit``,
-    #: ``timewin``, ``exported_packets`` ...), in partition order.
+    #: Per-partition worker reports (:meth:`PartitionSession.report`), in
+    #: partition order.
     workers: List[dict] = field(default_factory=list)
     #: Health frames streamed by workers, in arrival order (empty unless
     #: ``heartbeat=True``).
@@ -573,6 +647,60 @@ class ShardRunReport:
 
     def results(self) -> List[dict]:
         return [w.get("result") or {} for w in self.workers]
+
+
+def run_inline(
+    builder: str,
+    kwargs: dict,
+    shards: int,
+    duration: float,
+    lookahead: float,
+    audit: bool = False,
+    timewin_dir: Optional[str] = None,
+    timewin_params: Optional[dict] = None,
+    fault_plans: Optional[List[Optional[dict]]] = None,
+    heartbeat: bool = False,
+    flight_dir: Optional[str] = None,
+    on_heartbeat: Optional[Callable[[dict], None]] = None,
+) -> ShardRunReport:
+    """:func:`run_sharded` without the processes: the same
+    :class:`PartitionSession` per partition, driven through
+    :func:`run_lockstep` in this process — required inside daemonic
+    harness workers (which may not spawn children). Same arguments, same
+    :class:`ShardRunReport`, same digest; a partition's exception
+    propagates as itself."""
+    payloads = partition_payloads(
+        builder, kwargs, shards, duration, lookahead, audit=audit,
+        timewin_dir=timewin_dir, timewin_params=timewin_params,
+        fault_plans=fault_plans, heartbeat=heartbeat, flight_dir=flight_dir,
+    )
+    heartbeats: List[dict] = []
+    t0 = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        sessions = [
+            stack.enter_context(PartitionSession(payload)) for payload in payloads
+        ]
+        runtimes = [session.runtime for session in sessions]
+        on_epoch = None
+        if heartbeat:
+            trackers = [HeartbeatTracker(i) for i in range(shards)]
+
+            def on_epoch(epoch: int, barrier: float) -> None:
+                for tracker, runtime in zip(trackers, runtimes):
+                    frame = tracker.frame(runtime, epoch, barrier)
+                    heartbeats.append(frame)
+                    if on_heartbeat is not None:
+                        on_heartbeat(frame)
+
+        epochs = run_lockstep(runtimes, duration, on_epoch=on_epoch)
+        workers = [session.report() for session in sessions]
+    return ShardRunReport(
+        shards=shards,
+        epochs=epochs,
+        wall_s=time.perf_counter() - t0,
+        workers=workers,
+        heartbeats=heartbeats,
+    )
 
 
 def run_sharded(
@@ -607,47 +735,22 @@ def run_sharded(
     given, forwarded live as they arrive. ``flight_dir`` enables per-
     shard flight recording to ``shard{i}.flights.jsonl`` files.
     """
-    import os
-
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if timewin_dir is not None:
-        os.makedirs(timewin_dir, exist_ok=True)
-    if flight_dir is not None:
-        os.makedirs(flight_dir, exist_ok=True)
     from ..harness.runner import spawn_safe_main
 
+    payloads = partition_payloads(
+        builder, kwargs, shards, duration, lookahead, audit=audit,
+        timewin_dir=timewin_dir, timewin_params=timewin_params,
+        fault_plans=fault_plans, seed_base=seed_base, heartbeat=heartbeat,
+        flight_dir=flight_dir,
+    )
     ctx = multiprocessing.get_context("spawn")
     conns = []
     procs = []
     schedule = barrier_times(duration, lookahead)
     t0 = time.perf_counter()
     with spawn_safe_main():
-        for i in range(shards):
+        for payload in payloads:
             parent, child = ctx.Pipe(duplex=True)
-            payload = {
-                "partition": i,
-                "shards": shards,
-                "builder": builder,
-                "kwargs": dict(kwargs),
-                "worker_seed": shard_worker_seed(seed_base, i),
-                "duration": duration,
-                "lookahead": lookahead,
-                "audit": audit,
-                "timewin": timewin_params,
-                "timewin_path": (
-                    os.path.join(timewin_dir, f"shard{i}.windows.jsonl")
-                    if timewin_dir is not None
-                    else None
-                ),
-                "flight_path": (
-                    os.path.join(flight_dir, f"shard{i}.flights.jsonl")
-                    if flight_dir is not None
-                    else None
-                ),
-                "heartbeat": heartbeat,
-                "faults": fault_plans[i] if fault_plans else None,
-            }
             proc = ctx.Process(
                 target=_shard_worker_main, args=(payload, child), daemon=True
             )
@@ -736,37 +839,11 @@ def run_sharded(
                     inbound[dest].append(batch)
             for j in range(shards):
                 conns[j].send(("in", epoch, inbound[j]))
-        # Final reports (workers that already sent "done" are recorded).
-        remaining = {i for i in range(shards) if reports[i] is None}
-        while remaining:
-            ready = multiprocessing.connection.wait(
-                [conns[i] for i in remaining], timeout=timeout_s
-            )
-            if not ready:
-                fail(
-                    f"timed out waiting for final reports from "
-                    f"{sorted(remaining)}"
-                )
-            for conn in ready:
-                i = conn_index[id(conn)]
-                try:
-                    tag, body = conn.recv()
-                except EOFError:
-                    reports[i] = {
-                        "partition": i, "status": "failed",
-                        "error": f"worker process died before reporting "
-                                 f"(exit code {procs[i].exitcode})",
-                    }
-                    fail(
-                        f"shard worker {i} died before reporting "
-                        f"(exit code {procs[i].exitcode})"
-                    )
-                if tag != "done":
-                    fail(
-                        f"worker {i} sent {tag!r} after the last barrier"
-                    )
-                reports[i] = body
-                remaining.discard(i)
+        # Final reports ride the same receive path as one more round (a
+        # worker that already sent "done" is recorded and not waited on).
+        recv_from(
+            {i for i in range(shards) if reports[i] is None}, "done", len(schedule)
+        )
     finally:
         for conn in conns:
             conn.close()
@@ -776,17 +853,10 @@ def run_sharded(
                 proc.terminate()
                 proc.join(timeout=5.0)
 
-    for i, report in enumerate(reports):
-        if report is None:
-            fail(f"shard worker {i} never reported")
-        if report.get("status") != "ok":
-            fail(
-                f"shard worker {i} failed:\n{report.get('error', '')}"
-            )
     return ShardRunReport(
         shards=shards,
         epochs=len(schedule),
         wall_s=time.perf_counter() - t0,
-        workers=[r for r in reports if r is not None],
+        workers=reports,  # recv_from left every one present and "ok"
         heartbeats=heartbeats,
     )

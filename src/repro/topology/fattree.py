@@ -34,7 +34,7 @@ The same builder serves two callers:
 Partitioning (:class:`FatTreePlan`) is by pod: pod ``p`` (agg + ToRs +
 hosts) maps to partition ``p % shards`` and core ``c`` to ``c % shards``,
 so the only links crossing partitions are agg<->core — the ToR-pod cuts
-of ROADMAP item 2. The conservative lookahead is the minimum cut-link
+of docs/SCALING.md. The conservative lookahead is the minimum cut-link
 propagation delay, which here is simply ``core_prop_delay``.
 """
 

@@ -61,3 +61,48 @@ class TestFastCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "PQ" in out and "AQ" in out
+
+
+class TestRunAllOverrides:
+    def test_timeout_override_keeps_every_other_spec_field(self, monkeypatch, tmp_path):
+        """``--timeout`` used to rebuild each JobSpec field by field and
+        drop ``daemon``, turning the one job that spawns shard workers
+        (``engine/shard_speedup``) daemonic — which may not have children."""
+        import dataclasses
+
+        from repro.harness import runner
+        from repro.harness.jobs import default_jobs, filter_jobs
+
+        launched = []
+
+        def fake_run_jobs(specs, **kwargs):
+            launched.extend(specs)
+            return [
+                runner.JobResult(name=s.name, status="ok", attempts=1,
+                                 wall_s=0.0, result={})
+                for s in specs
+            ]
+
+        monkeypatch.setattr(runner, "run_jobs", fake_run_jobs)
+        code = main([
+            "run-all", "--filter", "engine/", "--timeout", "200",
+            "--bench-out", str(tmp_path / "bench.json"),
+        ])
+        assert code == 0
+        registered = {s.name: s for s in filter_jobs(default_jobs(), ["engine/"])}
+        assert [s.name for s in launched] == list(registered)
+        for spec in launched:
+            assert spec == dataclasses.replace(registered[spec.name], timeout_s=200.0)
+        assert not {s.name: s for s in launched}["engine/shard_speedup"].daemon
+
+
+class TestTelemetryFlags:
+    def test_metrics_summary_alone_prints_the_registry(self, capsys):
+        """``--metrics-summary`` with no other telemetry flag used to die on
+        an assertion: nothing asked the session for a live registry."""
+        code = main([
+            "share", "--ccs", "cubic", "udp", "--bottleneck-gbps", "0.5",
+            "--duration-ms", "5", "--flows", "1", "--metrics-summary",
+        ])
+        assert code == 0
+        assert "link_delivered_packets" in capsys.readouterr().out
