@@ -22,40 +22,18 @@ def env_telemetry():
         yield tele
 
 
-def run_once(benchmark, fn, *args, **kwargs):
+@pytest.fixture
+def once(benchmark):
     """Run ``fn`` exactly once under pytest-benchmark and return its result.
 
     Packet-level scenario runs are seconds long and deterministic, so one
     round is both sufficient and necessary to keep the suite's wall time
     sane.
     """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
-
-@pytest.fixture
-def once(benchmark):
     def _run(fn, *args, **kwargs):
-        return run_once(benchmark, fn, *args, **kwargs)
-
-    return _run
-
-
-def run_registry_job(benchmark, name):
-    """Run one ``repro run-all`` registry job (by exact name) under
-    pytest-benchmark, in-process. The same job specs back both this suite
-    and the parallel runner, so a benchmark and ``repro run-all --filter``
-    measure identical work.
-    """
-    from repro.harness.jobs import default_jobs
-    from repro.harness.runner import resolve_target
-
-    spec = next(s for s in default_jobs() if s.name == name)
-    return run_once(benchmark, resolve_target(spec.target), **spec.kwargs)
-
-
-@pytest.fixture
-def registry_job(benchmark):
-    def _run(name):
-        return run_registry_job(benchmark, name)
+        return benchmark.pedantic(
+            fn, args=args, kwargs=kwargs, rounds=1, iterations=1
+        )
 
     return _run

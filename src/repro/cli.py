@@ -638,14 +638,8 @@ def cmd_telemetry_stitch(args) -> int:
 
 def cmd_run_all(args) -> int:
     """Fan the registered experiment jobs out over worker processes."""
-    from .harness.jobs import default_jobs, engine_results, filter_jobs
-    from .harness.runner import (
-        compare_to_baseline,
-        load_baseline,
-        results_digest,
-        run_jobs,
-        write_results_jsonl,
-    )
+    from .harness.jobs import default_jobs, filter_jobs
+    from .harness.runner import results_digest, run_jobs, write_results_jsonl
 
     specs = filter_jobs(default_jobs(), args.filters)
     if args.timeout is not None:
@@ -717,35 +711,6 @@ def cmd_run_all(args) -> int:
         total_retained = sum(r.timewin["retained_windows"] for r in windowed)
         print(f"time windows: {len(windowed)} jobs, {total_records:,} records "
               f"into {total_retained} retained windows -> {args.timewin_dir}/")
-
-    engine = engine_results(results)
-    if engine:
-        from .harness.hotpath import engine_bench_payload
-
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(engine_bench_payload(engine), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"engine benches -> {args.bench_out}")
-
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-            return 1
-        regressions = [
-            delta for delta in compare_to_baseline(results, baseline)
-            if delta.ratio > 1.25 and delta.wall_s - delta.baseline_s > 0.5
-        ]
-        if regressions:
-            print("\nwall-clock regressions vs baseline (>25% and >0.5s slower):")
-            print(render_table(
-                ["job", "baseline", "now", "ratio"],
-                [[d.name, f"{d.baseline_s:.2f}s", f"{d.wall_s:.2f}s",
-                  f"{d.ratio:.2f}x"] for d in regressions],
-            ))
-            return 1
-        print("no wall-clock regressions vs baseline")
 
     if failures:
         for failure in failures:
@@ -1298,8 +1263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "run-all",
         help="run registered experiment jobs across worker processes",
-        description="Fan the registered experiment jobs (the benchmark "
-                    "suite's grids plus the engine hot-path benches) out "
+        description="Fan the registered experiment jobs (the paper's "
+                    "figure/table grids plus the equivalence checks) out "
                     "over isolated worker processes. Results are "
                     "deterministic at any parallelism; see "
                     "docs/PERFORMANCE.md.",
@@ -1311,13 +1276,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable; any match selects)")
     p.add_argument("--out", metavar="RESULTS.JSONL", default=None,
                    help="write one JSON result line per job")
-    p.add_argument("--baseline", metavar="BASELINE", default=None,
-                   help="previous results JSONL (or {'jobs': {name: secs}} "
-                        "JSON); exit 1 on wall-clock regressions")
-    p.add_argument("--bench-out", metavar="BENCH_ENGINE.JSON",
-                   default="BENCH_engine.json",
-                   help="where to write engine bench measurements when "
-                        "engine/* jobs ran (default BENCH_engine.json)")
     p.add_argument("--timeout", type=float, default=None,
                    help="override every job's timeout (seconds)")
     p.add_argument("--profile", action="store_true", dest="worker_profile",

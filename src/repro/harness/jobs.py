@@ -26,9 +26,7 @@ from .runner import JobSpec
 _HERE = __name__  # jobs resolve their targets from this module
 
 
-def _spec(
-    name: str, func: str, timeout_s: float = 600.0, daemon: bool = True, **kwargs
-) -> JobSpec:
+def _spec(name: str, func: str, timeout_s: float = 600.0, **kwargs) -> JobSpec:
     tags = (name.split("/", 1)[0],)
     return JobSpec(
         name=name,
@@ -36,7 +34,6 @@ def _spec(
         kwargs=kwargs,
         tags=tags,
         timeout_s=timeout_s,
-        daemon=daemon,
     )
 
 
@@ -401,8 +398,8 @@ def job_shard_equiv(
 
     Runs both shard counts through the in-process lockstep driver (a
     daemonic sweep worker may not spawn grandchildren; spawn-mode
-    equivalence is covered by ``engine/shard_speedup`` and the test
-    suite — all three drivers share one digest by construction).
+    equivalence is covered by ``tests/test_shard.py`` — all three
+    drivers share one digest by construction).
     ``fault_blackout`` = ``(link_name, down_at, up_at)`` additionally
     runs the whole comparison under a cut-link blackout plan.
     """
@@ -580,21 +577,6 @@ def job_fabric_mixed_equiv(
     }
 
 
-def job_engine_bench(bench: str, **scale) -> dict:
-    """One engine hot-path micro-benchmark; wall-clock fields go under
-    ``"timing"`` so the sweep digest stays parallelism-independent."""
-    from .hotpath import ENGINE_BENCHES
-
-    raw = ENGINE_BENCHES[bench](**scale)
-    out: dict = {"bench": bench, "timing": {}}
-    for key, value in raw.items():
-        if "wall" in key or "per_sec" in key or key.endswith("_ratio"):
-            out["timing"][key] = value
-        else:
-            out[key] = value
-    return out
-
-
 # -- the registry --------------------------------------------------------------
 
 #: Benchmark-suite scales (keep in sync with benchmarks/bench_*.py).
@@ -764,19 +746,6 @@ def default_jobs() -> List[JobSpec]:
         shard_counts=[1, 2, 4], duration=2e-3, churn=True,
     ))
 
-    for bench in (
-        "timer_churn", "fire_chain", "idle_link", "backlogged_link",
-        "timewin_overhead", "fluid_speedup", "fabric_obs_overhead",
-        "fabric_mixed",
-    ):
-        specs.append(_spec(f"engine/{bench}", "job_engine_bench", bench=bench))
-    # Spawns its own shard workers, so its sweep worker must not be
-    # daemonic (daemonic processes cannot have children).
-    specs.append(_spec(
-        "engine/shard_speedup", "job_engine_bench",
-        bench="shard_speedup", daemon=False,
-    ))
-
     return specs
 
 
@@ -790,17 +759,3 @@ def filter_jobs(
         spec for spec in specs
         if any(pattern in spec.name for pattern in patterns)
     ]
-
-
-def engine_results(results) -> Dict[str, dict]:
-    """Extract ``engine/*`` bench measurements (timing folded back in) from
-    a sweep's results, keyed by bench name — the BENCH_engine.json payload."""
-    benches: Dict[str, dict] = {}
-    for result in results:
-        if not result.ok or not result.name.startswith("engine/"):
-            continue
-        data = dict(result.result or {})
-        data.update(data.pop("timing", {}))
-        data.pop("bench", None)
-        benches[result.name.split("/", 1)[1]] = data
-    return benches

@@ -69,11 +69,6 @@ class JobSpec:
     kwargs: Mapping[str, object] = field(default_factory=dict)
     tags: Sequence[str] = ()
     timeout_s: float = 300.0
-    #: Workers are daemonic by default (the sweep can never leak a child
-    #: past the parent). A job that itself spawns processes — e.g. the
-    #: ``engine/shard_speedup`` bench launching shard workers — must opt
-    #: out, because daemonic processes may not have children.
-    daemon: bool = True
 
     def worker_seed(self) -> int:
         """Stable per-job seed (independent of Python's hash randomization)."""
@@ -281,8 +276,9 @@ def run_jobs(
                 else None
             ),
         }
+        # Daemonic: the sweep can never leak a child past the parent.
         proc = ctx.Process(
-            target=_worker_main, args=(payload, child_conn), daemon=spec.daemon
+            target=_worker_main, args=(payload, child_conn), daemon=True
         )
         proc.start()
         child_conn.close()
@@ -467,57 +463,3 @@ def results_digest(results: Sequence[JobResult]) -> str:
         )
         hasher.update(b"\n")
     return hasher.hexdigest()
-
-
-# -- baseline comparison -------------------------------------------------------
-
-
-def load_baseline(path: str) -> Dict[str, float]:
-    """Read per-job wall-clock seconds from a previous sweep.
-
-    Accepts either a results JSONL written by :func:`write_results_jsonl`
-    or a JSON document with a ``{"jobs": {name: wall_s}}`` mapping.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        document = json.loads(text)
-    except ValueError:
-        document = None
-    if isinstance(document, dict) and "name" not in document:
-        # A single JSON document (a {"jobs": {...}} mapping, or the mapping
-        # itself) rather than a results JSONL line.
-        jobs = document.get("jobs", document)
-        return {str(name): float(wall) for name, wall in jobs.items()}
-    baseline = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        baseline[record["name"]] = float(record.get("wall_s", 0.0))
-    return baseline
-
-
-@dataclass(frozen=True)
-class BaselineDelta:
-    """Wall-clock change of one job vs a recorded baseline."""
-
-    name: str
-    wall_s: float
-    baseline_s: float
-
-    @property
-    def ratio(self) -> float:
-        return self.wall_s / self.baseline_s if self.baseline_s > 0 else float("inf")
-
-
-def compare_to_baseline(
-    results: Sequence[JobResult], baseline: Mapping[str, float]
-) -> List[BaselineDelta]:
-    """Per-job deltas for every job present in both sweeps."""
-    return [
-        BaselineDelta(name=r.name, wall_s=r.wall_s, baseline_s=baseline[r.name])
-        for r in results
-        if r.ok and r.name in baseline
-    ]

@@ -164,6 +164,13 @@ class RunAuditor(TraceSink):
     via :meth:`~repro.obs.telemetry.Telemetry.enable_audit`); call
     :meth:`finish` (or :meth:`close`) after it to run the end-of-run
     checks and collect :attr:`violations`.
+
+    The ledgers (flows, queue backlogs, A-Gap replays) describe *one*
+    simulation: queue names, flow ids and AQ ids repeat from run to run.
+    A session that builds several networks gets one ledger per run —
+    every new :class:`~repro.sim.engine.Simulator` bound to the session's
+    telemetry calls :meth:`begin_run` — while :attr:`events_seen`,
+    :attr:`violations` and the fault counters accumulate across them.
     """
 
     def __init__(
@@ -219,6 +226,15 @@ class RunAuditor(TraceSink):
 
     def close(self) -> None:
         self.finish()
+
+    def begin_run(self) -> None:
+        """A new simulation starts under this session: run the end-of-run
+        checks on the open ledger, then open a fresh one."""
+        self.finish()
+        for ledger in (self._window, self._flows, self._backlog,
+                       self._agap, self._agap_checkable):
+            ledger.clear()
+        self._finished = False
 
     # -- invariant implementations -----------------------------------------
 
@@ -459,7 +475,8 @@ class RunAuditor(TraceSink):
         return self.violations
 
     def report(self) -> dict:
-        """JSON-safe summary: violation list plus the per-flow ledgers."""
+        """JSON-safe summary: violation list plus the per-flow ledgers (of
+        the last run, when the session held several)."""
         self.finish()
         out = {
             "events_seen": self.events_seen,

@@ -127,6 +127,9 @@ class Simulator:
             if telemetry is None:
                 telemetry = Telemetry()
         self.telemetry = telemetry
+        if telemetry.auditor is not None:
+            # One audit ledger per simulation (names and ids repeat).
+            telemetry.auditor.begin_run()
 
     # -- clock ---------------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Hybrid fluid/packet simulation: analytic epochs for backlogged links.
 
 The per-packet engine costs ~3 events per packet on a backlogged link
-(BENCH_engine.json), which caps throughput around 10⁵ packets/sec. But a
-*stable* backlogged period — constant-rate UDP senders, a fixed contending
-flow set, no pending fault — is exactly the regime every component of this
-simulator has a closed form for:
+(docs/PERFORMANCE.md §1.3), which caps throughput around 10⁵ packets/sec.
+But a *stable* backlogged period — constant-rate UDP senders, a fixed
+contending flow set, no pending fault — is exactly the regime every
+component of this simulator has a closed form for:
 
 * the **A-Gap** recurrence of Theorem 3.2 degenerates to a clamped line,
   ``A(t) = max(0, A₀ + (λ − R/8)·t)`` (:func:`repro.core.agap.fluid_gap_after`);

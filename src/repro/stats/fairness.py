@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 from ..errors import ConfigurationError
@@ -15,8 +16,9 @@ def jain_index(values: Sequence[float]) -> float:
         raise ConfigurationError("Jain index requires non-negative values")
     total = sum(values)
     squares = sum(v * v for v in values)
-    if total == 0 or squares == 0.0:
-        # All zero — or so close that the squares underflow to zero.
+    if total == 0 or squares < sys.float_info.min:
+        # All zero — or so close that the squares underflow to zero or to
+        # subnormals, which no longer carry enough bits to divide by.
         return 1.0
     return total * total / (len(values) * squares)
 

@@ -24,6 +24,7 @@ from repro.obs.events import (
     EV_RATE_LIMIT,
 )
 from repro.queues.fifo import PhysicalFifoQueue
+from repro.sim.engine import Simulator
 from repro.units import gbps
 
 SHORT = dict(bottleneck_bps=gbps(1), duration=40e-3, warmup=15e-3)
@@ -327,6 +328,66 @@ class TestAuditorMachinery:
         assert report["violation_count"] == 0
         assert report["flows"]["1"]["in_flight_bytes"] == 0
         json.dumps(report)  # must serialize
+
+
+# -- one ledger per simulation -----------------------------------------------------
+
+
+class TestLedgerPerRun:
+    """Queue names, flow ids and AQ ids repeat across the runs of one
+    session, so each new Simulator bound to the telemetry opens a fresh
+    ledger; verdicts accumulate."""
+
+    def test_new_simulator_opens_a_fresh_ledger(self):
+        tele = Telemetry()
+        auditor = tele.enable_audit()
+        Simulator(telemetry=tele)
+        feed(auditor,
+             TraceEvent(EV_ENQUEUE, 0.0, node="q0", size=1000, value=1000.0),
+             TraceEvent(EV_AQ_RATE, 0.0, aq_id=1, value=8e6),
+             TraceEvent(EV_AGAP_UPDATE, 0.0, aq_id=1, size=1000, value=1000.0),
+             TraceEvent(EV_HOST_SEND, 0.0, node="h0", flow_id=1, size=1000))
+        Simulator(telemetry=tele)
+        # The same names from t=0 again: a shared ledger would see q0 at
+        # 2000B, a gap that never drained, and flow 1 over-delivered.
+        feed(auditor,
+             TraceEvent(EV_ENQUEUE, 0.0, node="q0", size=1000, value=1000.0),
+             TraceEvent(EV_AQ_RATE, 0.0, aq_id=1, value=8e6),
+             TraceEvent(EV_AGAP_UPDATE, 0.0, aq_id=1, size=1000, value=1000.0),
+             TraceEvent(EV_HOST_SEND, 0.0, node="h0", flow_id=1, size=1000),
+             TraceEvent(EV_DELIVER, 0.1, node="h1", flow_id=1, size=1000))
+        report = auditor.report()
+        assert report["violation_count"] == 0
+        assert report["events_seen"] == 9  # accumulates across ledgers
+        assert report["flows"]["1"]["in_flight_bytes"] == 0  # the last run's
+
+    def test_break_in_second_run_is_still_reported(self):
+        tele = Telemetry()
+        auditor = tele.enable_audit()
+        with tele.activate():
+            run_cc_pair("dctcp", 2, "udp", 1, "aq", **SHORT)
+            assert auditor.violations == []
+            sim = Simulator()
+            queue = _PilferingQueue(limit_bytes=1 << 20, name="s-left.s-right",
+                                    telemetry=sim.telemetry)
+            for i in range(4):
+                queue.enqueue(make_data("h0", "h1", flow_id=1, seq=i * 1000,
+                                        size=1000), now=i * 1e-4)
+            while queue.dequeue(now=1e-3) is not None:
+                pass
+            # ... and a third run does not forget the verdict.
+            Simulator()
+        assert invariants(auditor) == ["queue_conservation"]
+        assert auditor.violations[0].subject == "s-left.s-right"
+
+    def test_end_of_run_checks_fire_when_the_next_run_begins(self):
+        auditor = RunAuditor()
+        feed(auditor,
+             TraceEvent(EV_HOST_SEND, 0.0, node="h0", flow_id=1, size=1000))
+        auditor._flows[1].delivered_bytes = 2000  # only finish() can notice
+        auditor.begin_run()
+        assert invariants(auditor) == ["flow_conservation"]
+        assert "end of run" in auditor.violations[0].message
 
 
 # -- integration -------------------------------------------------------------------

@@ -256,6 +256,31 @@ class TestScheduleFire:
     def test_calendar_never_compares_event_handles(self):
         assert "__lt__" not in vars(Event)
 
+    def test_fire_chain_builds_no_event_objects(self, monkeypatch):
+        # Fire-and-forget entries are bare tuples: a 10k-link
+        # self-rescheduling chain must not construct one Event handle.
+        built = []
+        init = Event.__init__
+
+        def counting_init(event, *args):
+            built.append(event)
+            init(event, *args)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        sim = Simulator()
+        remaining = [10_000]
+
+        def chain():
+            remaining[0] -= 1
+            if remaining[0] > 0:
+                sim.schedule_fire(1e-6, chain)
+
+        sim.schedule_fire(1e-6, chain)
+        assert sim.run() == 10_000
+        assert not built
+        sim.schedule(1e-6, chain)  # the counter does see a real handle
+        assert len(built) == 1
+
 
 class TestTimeGuards:
     @pytest.mark.parametrize(

@@ -75,6 +75,8 @@ class TestDigestNeutrality:
     def test_full_plane_changes_no_digest(self, runs):
         digests = {runs[k]["digest"] for k in ("base", "sharded", "serial")}
         assert len(digests) == 1
+        # ... with the default-on window recorder really recording.
+        assert runs["sharded"]["timewin_ports"] > 0
 
     def test_audit_clean_with_plane_on(self, runs):
         for name in ("sharded", "serial"):

@@ -70,6 +70,11 @@ class TestEquivalence:
         total_pk = sum(pk.delivered_total.values())
         total_fl = sum(fl.delivered_total.values())
         assert total_fl == pytest.approx(total_pk, rel=0.01)
+        # The point of the fast path: closed-form epochs, not packets.
+        events_pk, events_fl = (
+            r.env.controller.network.sim.events_processed for r in (pk, fl)
+        )
+        assert events_fl * 10 <= events_pk
         for name in pk.delivered_total:
             assert fl.delivered_total[name] == pytest.approx(
                 pk.delivered_total[name], rel=0.08

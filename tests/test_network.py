@@ -11,7 +11,7 @@ from repro.sim.engine import Simulator
 from repro.topology.base import Network
 from repro.topology.dumbbell import Dumbbell, DumbbellConfig
 from repro.topology.star import Star, StarConfig
-from repro.units import gbps, us
+from repro.units import gbps, transmission_time, us
 
 
 class _Collector:
@@ -76,6 +76,38 @@ class TestLinkAndTransmitter:
         assert link.stats.delivered_packets == 1
         assert link.stats.delivered_bytes == 1000
         assert link.stats.busy_time > 0
+
+    def test_idle_link_costs_one_event_per_packet(self):
+        # Every delivery offers the next packet, so the line is idle at
+        # each offer: end-of-serialization and propagation fold into ONE
+        # calendar event per packet.
+        sim = Simulator()
+        n = 1000
+        sent = [0]
+
+        def pump(_packet=None):
+            if sent[0] < n:
+                sent[0] += 1
+                tx.offer(make_udp("a", "b", 1, 1500))
+
+        link = Link(sim, gbps(10), us(1), pump)
+        tx = Transmitter(sim, PhysicalFifoQueue(limit_bytes=1_000_000), link)
+        pump()
+        assert sim.run() == n
+        assert link.stats.delivered_packets == n
+
+    def test_backlogged_link_delivers_everything_within_three_events_per_packet(self):
+        # Two offers per serialization slot keep a standing backlog, so the
+        # transmitter stays on the classic path: finish + deliver per
+        # packet, plus the offer event that drives the test.
+        sim, tx, collector = self._make(rate=gbps(10), delay=us(1))
+        n = 1000
+        slot = transmission_time(1500, gbps(10))
+        for i in range(n):
+            sim.schedule_fire(i * slot / 2, tx.offer, make_udp("a", "b", 1, 1500))
+        events = sim.run()
+        assert len(collector.packets) == n
+        assert 2 * n < events <= 3 * n
 
     # Delivery times of a 1500 B packet offered at t=0 on a 3 Gbps / 7 us
     # link, then 700 + 1100 + 900 B offered together at `_tx_end + us(offset)`;

@@ -8,10 +8,8 @@ from repro.errors import ConfigurationError
 from repro.harness.runner import (
     JobResult,
     JobSpec,
-    compare_to_baseline,
     deterministic_result,
     flight_file_for,
-    load_baseline,
     read_results_jsonl,
     resolve_target,
     results_digest,
@@ -240,31 +238,6 @@ class TestAuditedJobs:
         assert results_digest(plain) == results_digest(audited)
 
 
-class TestBaseline:
-    def test_load_baseline_from_jsonl(self, tmp_path):
-        path = str(tmp_path / "base.jsonl")
-        write_results_jsonl(
-            [JobResult(name="a", status="ok", attempts=1, wall_s=2.0, result={})],
-            path,
-        )
-        assert load_baseline(path) == {"a": 2.0}
-
-    def test_load_baseline_from_jobs_mapping(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({"jobs": {"a": 1.5, "b": 3.0}}))
-        assert load_baseline(str(path)) == {"a": 1.5, "b": 3.0}
-
-    def test_compare_flags_only_common_ok_jobs(self):
-        results = [
-            JobResult(name="a", status="ok", attempts=1, wall_s=4.0),
-            JobResult(name="b", status="failed", attempts=1, wall_s=9.0),
-            JobResult(name="new", status="ok", attempts=1, wall_s=1.0),
-        ]
-        deltas = compare_to_baseline(results, {"a": 2.0, "b": 1.0})
-        assert [d.name for d in deltas] == ["a"]
-        assert deltas[0].ratio == pytest.approx(2.0)
-
-
 class TestRegistry:
     def test_default_jobs_unique_and_spawnable(self):
         from repro.harness.jobs import default_jobs
@@ -273,7 +246,7 @@ class TestRegistry:
         names = [s.name for s in specs]
         assert len(set(names)) == len(names)
         for group in ("fig1/", "fig6/", "fig7/", "fig8/", "fig9/", "fig10/",
-                      "table2/", "table3/", "table4/", "engine/"):
+                      "table2/", "table3/", "table4/", "fluid/"):
             assert any(name.startswith(group) for name in names)
         for s in specs:
             resolve_target(s.target)  # importable
@@ -284,22 +257,7 @@ class TestRegistry:
 
         specs = default_jobs()
         assert filter_jobs(specs, None) == list(specs)
-        engine = filter_jobs(specs, ["engine/"])
-        assert engine and all("engine/" in s.name for s in engine)
-        both = filter_jobs(specs, ["engine/", "fig9/"])
-        assert len(both) == len(engine) + 2
-
-    def test_engine_results_folds_timing_back(self):
-        from repro.harness.jobs import engine_results
-
-        results = [
-            JobResult(
-                name="engine/fire_chain", status="ok", attempts=1, wall_s=1.0,
-                result={"bench": "fire_chain", "n_events": 10.0,
-                        "timing": {"wall_s": 0.5}},
-            ),
-            JobResult(name="fig9/aq/timeline", status="ok", attempts=1,
-                      wall_s=1.0, result={}),
-        ]
-        benches = engine_results(results)
-        assert benches == {"fire_chain": {"n_events": 10.0, "wall_s": 0.5}}
+        fluid = filter_jobs(specs, ["fluid/"])
+        assert fluid and all("fluid/" in s.name for s in fluid)
+        both = filter_jobs(specs, ["fluid/", "fig9/"])
+        assert len(both) == len(fluid) + 2

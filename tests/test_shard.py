@@ -191,6 +191,16 @@ class TestTimewinStitch:
         for port in merged.ports():
             seqs = [v.seq for v in merged.views(port)]
             assert seqs == sorted(seqs)
+        # One store answers for ports recorded by different shards.
+        owners = set()
+        for port in ("agg0.core0", "agg1.core0"):
+            owners.update(
+                i for i, store in enumerate(individual) if port in store.ports()
+            )
+            verdict = merged.who_built(port, 0.0, DURATION)
+            assert verdict.coverage == "full"
+            assert verdict.total_bytes > 0
+        assert owners == {0, 1}
         # The merged dump round-trips through the standard loader.
         again = WindowStore.from_jsonl(str(tmp_path / "merged.jsonl"))
         assert again.ports() == merged.ports()

@@ -1,7 +1,7 @@
 """Tests for meters, percentiles, and fairness metrics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -180,6 +180,7 @@ class TestFairness:
             jain_index([-1, 2])
 
     @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=30))
+    @example([1.3421009126947246e-158] * 2)  # squares land in the subnormals
     @settings(max_examples=100, deadline=None)
     def test_jain_bounds(self, values):
         index = jain_index(values)
