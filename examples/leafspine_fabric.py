@@ -13,72 +13,27 @@ Run:
     python examples/leafspine_fabric.py
 """
 
-from repro.cc.registry import make_cc
-from repro.core.controller import AqController, AqRequest
-from repro.core.feedback import drop_policy
+from repro.harness.extensions import run_leafspine
 from repro.harness.report import render_table
-from repro.stats.meters import ThroughputMeter
-from repro.topology.leafspine import LeafSpine, LeafSpineConfig
-from repro.transport.tcp import TcpConnection
-from repro.transport.udp import UdpFlow
-from repro.units import format_rate, gbps
-
-FABRIC_LINK = gbps(1)
-DURATION = 60e-3
-WARMUP = 25e-3
+from repro.units import format_rate
 
 
-def run(with_aq: bool):
-    fabric = LeafSpine(
-        LeafSpineConfig(
-            num_leaves=2, num_spines=2, hosts_per_leaf=2,
-            host_link_bps=gbps(2), fabric_link_bps=FABRIC_LINK,
-        )
-    )
-    network = fabric.network
-    tcp_id = udp_id = 0
-    if with_aq:
-        controller = AqController(network)
-        controller.register_resource("fabric", 2 * FABRIC_LINK)
-        tcp_id = controller.request(
-            AqRequest(entity="tcp", switch="leaf0", position="ingress",
-                      weight=1.0, share_group="fabric", policy=drop_policy())
-        ).aq_id
-        udp_id = controller.request(
-            AqRequest(entity="udp", switch="leaf0", position="ingress",
-                      weight=1.0, share_group="fabric", policy=drop_policy())
-        ).aq_id
-
-    tcp_meter = ThroughputMeter(network.sim, DURATION / 40)
-    udp_meter = ThroughputMeter(network.sim, DURATION / 40)
-    for _ in range(4):
-        TcpConnection(network, "h0-0", "h1-0", make_cc("cubic"),
-                      aq_ingress_id=tcp_id, on_deliver=tcp_meter.add)
-    for _ in range(2):  # two flows -> ECMP lands one per spine
-        UdpFlow(network, "h0-1", "h1-1", rate_bps=FABRIC_LINK,
-                aq_ingress_id=udp_id, on_deliver=udp_meter.add)
-    network.run(until=DURATION)
-    return (
-        tcp_meter.mean_rate(after=WARMUP),
-        udp_meter.mean_rate(after=WARMUP),
-        fabric,
-    )
+def run(with_aq: bool) -> dict:
+    """TCP / UDP entity rates and the spines that carried traffic; the
+    scenario itself is the ``ext/leafspine`` figure's (``repro ext/leafspine``)."""
+    return run_leafspine(with_aq)
 
 
 def main() -> None:
     rows = []
     for with_aq in (False, True):
-        tcp, udp, fabric = run(with_aq)
-        spines_used = sum(
-            1 for s in fabric.spines
-            if fabric.network.switches[s].stats.forwarded_packets > 0
-        )
+        result = run(with_aq)
         rows.append(
             [
                 "AQ at leaf0" if with_aq else "plain fabric",
-                format_rate(tcp),
-                format_rate(udp),
-                str(spines_used),
+                format_rate(result["tcp_bps"]),
+                format_rate(result["udp_bps"]),
+                str(result["spines_used"]),
             ]
         )
     print(render_table(

@@ -15,58 +15,15 @@ Run:
     python examples/work_conservation.py
 """
 
-from repro import AqController, AqRequest, TcpConnection, drop_policy
-from repro.cc.registry import make_cc
-from repro.core.workconserving import WorkConservingGate
-from repro.harness.common import queue_limit_bytes
+from repro.harness.extensions import run_work_conservation
 from repro.harness.report import render_table
-from repro.stats.meters import ThroughputMeter
-from repro.topology.dumbbell import Dumbbell, DumbbellConfig
-from repro.units import format_rate, gbps
-
-CAPACITY = gbps(10)
-ALLOCATED = gbps(2.5)
-DURATION = 60e-3
-WARMUP = 20e-3
+from repro.units import format_rate
 
 
 def run(work_conserving: bool, with_competitor: bool) -> float:
-    dumbbell = Dumbbell(
-        DumbbellConfig(num_left=2, num_right=2, bottleneck_rate_bps=CAPACITY)
-    )
-    network = dumbbell.network
-    controller = AqController(network)
-    controller.register_resource("bottleneck", CAPACITY)
-    grant = controller.request(
-        AqRequest(
-            entity="tenant",
-            switch=Dumbbell.LEFT_SWITCH,
-            position="ingress",
-            absolute_rate_bps=ALLOCATED,
-            share_group="bottleneck",
-            policy=drop_policy(),
-            limit_bytes=queue_limit_bytes(),
-        )
-    )
-    if work_conserving:
-        WorkConservingGate(
-            dumbbell.bottleneck_switch,
-            controller.pipeline(Dumbbell.LEFT_SWITCH),
-            watched_port=Dumbbell.RIGHT_SWITCH,
-        )
-
-    meter = ThroughputMeter(network.sim, DURATION / 40)
-    for _ in range(4):
-        TcpConnection(
-            network, "h-l0", "h-r0", make_cc("cubic"),
-            aq_ingress_id=grant.aq_id, on_deliver=meter.add,
-        )
-    if with_competitor:
-        for _ in range(4):
-            TcpConnection(network, "h-l1", "h-r1", make_cc("cubic"))
-
-    network.run(until=DURATION)
-    return meter.mean_rate(after=WARMUP)
+    """The tenant's steady-state rate; the scenario itself is the
+    ``ablation/workconserve`` figure's (``repro ablation/workconserve``)."""
+    return run_work_conservation(work_conserving, with_competitor)["rate_bps"]
 
 
 def main() -> None:

@@ -2,16 +2,17 @@
 
 Examples::
 
-    python -m repro fig7 --approach aq --vms 4
-    python -m repro table2 --bottleneck-gbps 2 --duration-ms 60
-    python -m repro table3
-    python -m repro fig12
-    python -m repro list
+    python -m repro table2
+    python -m repro fig8 --bottleneck-gbps 0.5 --duration-ms 20
+    python -m repro run-all --filter fig7/aq/4vms
+    python -m repro run-all --list
+    python -m repro share --ccs dctcp cubic udp
 
-Each subcommand runs the corresponding scenario at the given (scaled)
-parameters and prints the paper-style table or series. The benchmark
-suite (``pytest benchmarks/ --benchmark-only``) runs the same scenarios at
-the scales of record with assertions; the CLI is for interactive poking.
+There is one sub-command per entry of
+:data:`repro.harness.figures.FIGURES`: it runs the figure's grid, prints
+the paper-style table and, at the scale of record, checks the paper's
+claims. ``run-all`` fans the same grids out over worker processes;
+``share`` is for free-form poking.
 """
 
 from __future__ import annotations
@@ -25,36 +26,31 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
-from .core.agap import simulate_discrepancy_control
-from .core.resources import memory_series, tofino_usage
 from .errors import ReproError
+from .harness import figures
 from .harness.common import APPROACHES, EntitySpec, telemetry_session
+from .harness.figures import Scale
 from .harness.report import (
-    rate_range_str,
+    print_experiment,
     render_metrics_summary,
     render_table,
     write_metrics_snapshot,
 )
-from .harness.scenarios import (
-    run_cc_pair,
-    run_cc_pair_wct,
-    run_cc_preservation,
-    run_fluid_share,
-    run_longlived_share,
-    run_single_entity_wct,
-    run_two_entity_fairness,
-    run_udp_tcp_timeline,
-    run_vm_profile,
-)
+from .harness.scenarios import run_fluid_share, run_longlived_share
 from .units import format_rate, gbps
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bottleneck-gbps", type=float, default=2.0,
-                        help="bottleneck rate in Gbps (default 2)")
-    parser.add_argument("--duration-ms", type=float, default=60.0,
-                        help="simulated duration in ms (default 60)")
-    parser.add_argument("--seed", type=int, default=1)
+def _add_common(parser: argparse.ArgumentParser, scale: Scale) -> None:
+    """Register the scale flags ``scale`` sets (its values are the
+    defaults; a ``None`` field registers nothing) and the telemetry flags."""
+    for flag, kind, default, what in (
+        ("--bottleneck-gbps", float, scale.bottleneck_gbps, "bottleneck rate in Gbps"),
+        ("--duration-ms", float, scale.duration_ms, "simulated duration in ms"),
+        ("--seed", int, scale.seed, "seed of the run's random streams"),
+    ):
+        if default is not None:
+            parser.add_argument(flag, type=kind, default=default,
+                                help=f"{what} (default {default:g})")
     _add_telemetry(parser)
 
 
@@ -92,190 +88,25 @@ def metrics_path_for(trace_path: str) -> str:
     return f"{stem}.metrics.json"
 
 
-def _approach_arg(parser: argparse.ArgumentParser, default: Optional[str] = None):
-    if default is None:
-        parser.add_argument("--approach", choices=APPROACHES, action="append",
-                            dest="approaches",
-                            help="approach(es) to run (default: all)")
-    else:
-        parser.add_argument("--approach", choices=APPROACHES, default=default)
-
-
-def cmd_fig1(args) -> int:
-    bottleneck = gbps(args.bottleneck_gbps)
-    duration = args.duration_ms * 1e-3
-    rows = []
-    for cc_a, cc_b in [("cubic", "dctcp"), ("cubic", "swift"), ("dctcp", "swift")]:
-        result = run_cc_pair(
-            cc_a, args.flows, cc_b, args.flows, "pq",
-            bottleneck_bps=bottleneck, duration=duration,
-            warmup=duration * 0.4, seed=args.seed,
-        )
-        rows.append([f"{cc_a} vs {cc_b}",
-                     format_rate(result.rates_bps["A"]),
-                     format_rate(result.rates_bps["B"])])
-    print(render_table(["pairing (PQ)", "A", "B"], rows))
-    return 0
-
-
-def cmd_fig3(args) -> int:
-    rows = []
-    strawman = simulate_discrepancy_control(use_agap=False).cycle_peaks()
-    agap = simulate_discrepancy_control(use_agap=True).cycle_peaks()
-    for i in range(min(8, len(strawman), len(agap))):
-        rows.append([f"r{i}", f"{strawman[i] / 1e9:.3f}G", f"{agap[i] / 1e9:.3f}G"])
-    print(render_table(["cycle", "strawman D(t)", "A-Gap"], rows))
-    return 0
-
-
-def cmd_fig6(args) -> int:
-    bottleneck = gbps(args.bottleneck_gbps)
-    approaches = args.approaches or list(APPROACHES)
-    rows = []
-    for approach in approaches:
-        row = [approach.upper()]
-        for vms in args.vms:
-            wct = run_single_entity_wct(
-                vms, approach, args.volume_mb * 1_000_000,
-                bottleneck_bps=bottleneck, seed=args.seed,
-            )
-            row.append(f"{wct * 1e3:.1f}ms")
-        rows.append(row)
-    print(render_table(["approach"] + [f"{v} VMs" for v in args.vms], rows))
-    return 0
-
-
-def cmd_fig7(args) -> int:
-    bottleneck = gbps(args.bottleneck_gbps)
-    approaches = args.approaches or list(APPROACHES)
-    rows = []
-    for approach in approaches:
-        result = run_two_entity_fairness(
-            args.vms, approach, args.volume_mb * 1_000_000,
-            bottleneck_bps=bottleneck, seed=args.seed,
-        )
-        rows.append([approach.upper(), f"{result.fairness():.2f}",
-                     f"{result.wct['A'] * 1e3:.1f}ms",
-                     f"{result.wct['B'] * 1e3:.1f}ms"])
-    print(render_table(["approach", "fairness", "WCT A", f"WCT B ({args.vms} VMs)"],
-                       rows))
-    return 0
-
-
-def cmd_fig8(args) -> int:
-    bottleneck = gbps(args.bottleneck_gbps)
-    duration = args.duration_ms * 1e-3
-    rows = []
-    for approach in ("pq", "aq"):
-        result = run_cc_pair(
-            "cubic", 1, "cubic", args.flows, approach,
-            bottleneck_bps=bottleneck, duration=duration,
-            warmup=duration * 0.4, seed=args.seed,
-        )
-        rows.append([approach.upper(),
-                     format_rate(result.rates_bps["A"]),
-                     format_rate(result.rates_bps["B"])])
-    print(render_table(["approach", "A (1 flow)", f"B ({args.flows} flows)"], rows))
-    return 0
-
-
-def cmd_fig9(args) -> int:
-    bottleneck = gbps(args.bottleneck_gbps)
-    result = run_udp_tcp_timeline(
-        args.approach, bottleneck_bps=bottleneck,
-        phase=args.duration_ms * 1e-3 / 7, seed=args.seed,
-    )
-    entities = ["T1", "T2", "T3", "T4", "U"]
-    rows = []
-    for k in range(7):
-        window = result.rates_in_window[f"phase{k}"]
-        rows.append([f"phase {k}"] + [f"{window[e] / bottleneck:.2f}" for e in entities])
-    print(render_table(["phase"] + entities, rows))
-    return 0
-
-
-def cmd_fig10(args) -> int:
-    bottleneck = gbps(args.bottleneck_gbps)
-    approaches = args.approaches or list(APPROACHES)
-    rows = []
-    for approach in approaches:
-        result = run_cc_pair_wct(
-            args.cc_a, args.cc_b, approach, args.volume_mb * 1_000_000,
-            bottleneck_bps=bottleneck, seed=args.seed,
-        )
-        rows.append([approach.upper(), f"{result.fairness():.2f}",
-                     f"{result.total_wct * 1e3:.1f}ms"])
-    print(render_table(["approach", "fairness", "total WCT"], rows))
-    return 0
-
-
-def cmd_table2(args) -> int:
-    bottleneck = gbps(args.bottleneck_gbps)
-    duration = args.duration_ms * 1e-3
-    rows = []
-    for cc_a, n_a, cc_b, n_b in [
-        ("cubic", 5, "cubic", 5),
-        ("cubic", 5, "dctcp", 5),
-        ("cubic", 5, "swift", 5),
-        ("dctcp", 10, "swift", 5),
-    ]:
-        line = [f"{n_a} {cc_a} + {n_b} {cc_b}"]
-        for approach in ("pq", "aq"):
-            result = run_cc_pair(
-                cc_a, n_a, cc_b, n_b, approach,
-                bottleneck_bps=bottleneck, duration=duration,
-                warmup=duration * 0.4, seed=args.seed,
-            )
-            line.append(
-                f"{format_rate(result.rates_bps['A'])}+"
-                f"{format_rate(result.rates_bps['B'])}"
-            )
-        rows.append(line)
-    print(render_table(["setting", "PQ", "AQ"], rows))
-    return 0
-
-
-def cmd_table3(args) -> int:
-    link = gbps(args.link_gbps)
-    profile = gbps(args.profile_gbps)
-    rows = [["ideal", format_rate(profile), format_rate(profile)]]
-    approaches = args.approaches or list(APPROACHES)
-    for approach in approaches:
-        result = run_vm_profile(
-            approach, link_rate_bps=link, profile_rate_bps=profile,
-            duration=args.duration_ms * 1e-3, seed=args.seed,
-        )
-        rows.append([approach.upper(),
-                     rate_range_str(result.outbound_range_bps),
-                     rate_range_str(result.inbound_range_bps)])
-    print(render_table(["approach", "VM A outbound", "VM A inbound"], rows))
-    return 0
-
-
-def cmd_table4(args) -> int:
-    rows = []
-    for cc in args.ccs:
-        pq = run_cc_preservation(cc, use_aq=False, seed=args.seed)
-        aq = run_cc_preservation(cc, use_aq=True, seed=args.seed)
-        rows.append([cc, format_rate(pq.throughput_bps),
-                     f"{pq.delay_p95 * 1e6:.0f}us",
-                     format_rate(aq.throughput_bps),
-                     f"{aq.delay_p95 * 1e6:.0f}us"])
-    print(render_table(["CC", "PQ rate", "PQ 95p", "AQ rate", "AQ 95p"], rows))
-    return 0
-
-
-def cmd_fig11(args) -> int:
-    rows = [[u.resource, f"{u.used_percent:.1f}%"] for u in tofino_usage()]
-    print(render_table(["resource", "used"], rows))
-    return 0
-
-
-def cmd_fig12(args) -> int:
-    series = memory_series(args.counts)
-    rows = [[f"{n:,}", f"{mb:.2f} MB"] for n, mb in series.items()]
-    print(render_table(["AQs", "memory"], rows))
-    return 0
+def cmd_figure(args) -> int:
+    """Run one figure's grid in this process, print its table, and — at
+    the scale of record, where the thresholds were calibrated — check the
+    paper's claims against it."""
+    figure = args.figure
+    scale = Scale(**{
+        field.name: getattr(args, field.name, None)
+        for field in dataclasses.fields(Scale)
+    })
+    results = figures.run_figure(figure, scale)
+    print_experiment(figure.title, figure.render(results, scale))
+    if scale != figure.record:
+        print("claims not evaluated (thresholds hold at the scale of record only)")
+        return 0
+    failed = 0
+    for _, claim, holds in figures.check_claims([figure], results):
+        print(f"  [{'holds' if holds else 'FAILS'}] {claim.text}")
+        failed += not holds
+    return 1 if failed else 0
 
 
 def cmd_share(args) -> int:
@@ -712,13 +543,27 @@ def cmd_run_all(args) -> int:
         print(f"time windows: {len(windowed)} jobs, {total_records:,} records "
               f"into {total_retained} retained windows -> {args.timewin_dir}/")
 
+    # The paper's claims, checked from the result lines (never written
+    # into them, so they cannot move the digest).
+    verdicts = list(figures.check_claims(
+        figures.FIGURES, {r.name: r.result for r in results if r.ok}
+    ))
+    broken = [(figure, claim) for figure, claim, holds in verdicts if holds is False]
+    skipped = sum(holds is None for _, _, holds in verdicts)
+    evaluated = len(verdicts) - skipped
+    print(f"claims: {evaluated - len(broken)}/{evaluated} hold"
+          + (f" ({skipped} skipped: their cells did not run)" if skipped else ""))
+    for figure, claim in broken:
+        print(f"claim FAILED: {figure.name}: {claim.text} "
+              f"[{', '.join(claim.needs)}]", file=sys.stderr)
+
     if failures:
         for failure in failures:
             print(f"\n--- {failure.name} ({failure.status}) ---", file=sys.stderr)
             if failure.error:
                 print(failure.error, file=sys.stderr)
         return 1
-    return 1 if audit_failed else 0
+    return 1 if audit_failed or broken else 0
 
 
 def _summarize_run_dir(ref: str, max_rows: int) -> int:
@@ -1062,79 +907,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig1", help="CC interference under PQ")
-    _add_common(p)
-    p.add_argument("--flows", type=int, default=10)
-    p.set_defaults(fn=cmd_fig1)
+    for figure in figures.FIGURES:
+        p = sub.add_parser(figure.name, help=figure.title)
+        _add_common(p, figure.record)
+        p.set_defaults(fn=cmd_figure, figure=figure)
 
-    p = sub.add_parser("fig3", help="strawman D(t) vs A-Gap peaks")
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_fig3)
-
-    p = sub.add_parser("fig6", help="WCT vs VM count, one entity")
-    _add_common(p)
-    _approach_arg(p)
-    p.add_argument("--vms", type=int, nargs="+", default=[1, 4, 8])
-    p.add_argument("--volume-mb", type=float, default=8.0)
-    p.set_defaults(fn=cmd_fig6)
-
-    p = sub.add_parser("fig7", help="entity fairness, 1 VM vs n VMs")
-    _add_common(p)
-    _approach_arg(p)
-    p.add_argument("--vms", type=int, default=4)
-    p.add_argument("--volume-mb", type=float, default=8.0)
-    p.set_defaults(fn=cmd_fig7)
-
-    p = sub.add_parser("fig8", help="throughput vs flow count")
-    _add_common(p)
-    p.add_argument("--flows", type=int, default=16)
-    p.set_defaults(fn=cmd_fig8)
-
-    p = sub.add_parser("fig9", help="UDP/TCP timeline")
-    _add_common(p)
-    _approach_arg(p, default="aq")
-    p.set_defaults(fn=cmd_fig9, duration_ms=280.0)
-
-    p = sub.add_parser("fig10", help="fairness + WCT across CC pairs")
-    _add_common(p)
-    _approach_arg(p)
-    p.add_argument("--cc-a", default="cubic")
-    p.add_argument("--cc-b", default="dctcp")
-    p.add_argument("--volume-mb", type=float, default=6.0)
-    p.set_defaults(fn=cmd_fig10)
-
-    p = sub.add_parser("table2", help="CC-pair throughput, PQ vs AQ")
-    _add_common(p)
-    p.set_defaults(fn=cmd_table2)
-
-    p = sub.add_parser("table3", help="VM bi-directional profile")
-    _approach_arg(p)
-    p.add_argument("--link-gbps", type=float, default=2.5)
-    p.add_argument("--profile-gbps", type=float, default=0.5)
-    p.add_argument("--duration-ms", type=float, default=150.0)
-    p.add_argument("--seed", type=int, default=1)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_table3)
-
-    p = sub.add_parser("table4", help="CC behaviour preservation")
-    p.add_argument("--ccs", nargs="+", default=["cubic", "newreno", "dctcp"])
-    p.add_argument("--seed", type=int, default=1)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_table4)
-
-    p = sub.add_parser("fig11", help="switch resource usage (model)")
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_fig11)
-
-    p = sub.add_parser("fig12", help="memory vs number of AQs")
-    p.add_argument("--counts", type=int, nargs="+",
-                   default=[100_000, 1_000_000, 5_000_000])
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_fig12)
-
+    share_scale = Scale(bottleneck_gbps=2.0, duration_ms=60.0, seed=1)
     p = sub.add_parser("share", help="custom entity-sharing experiment")
-    _add_common(p)
-    _approach_arg(p, default="aq")
+    _add_common(p, share_scale)
+    p.add_argument("--approach", choices=APPROACHES, default="aq")
     p.add_argument("--ccs", nargs="+", default=["cubic", "udp"],
                    help="one entity per CC name (udp allowed)")
     p.add_argument("--flows", type=int, default=4)
@@ -1152,13 +933,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "the per-entity throughput is measured before/during/"
                     "after the fault window. See docs/FAULTS.md.",
     )
-    _add_common(p)
+    _add_common(p, dataclasses.replace(share_scale, duration_ms=120.0))
     p.add_argument("--restart-at-ms", type=float, default=50.0,
                    help="when the bottleneck switch restarts (default 50)")
     p.add_argument("--tolerance", type=float, default=0.05,
                    help="allowed post-recovery shortfall vs the granted "
                         "rate (default 0.05)")
-    p.set_defaults(fn=cmd_fault_restart, duration_ms=120.0)
+    p.set_defaults(fn=cmd_fault_restart)
 
     p = sub.add_parser(
         "share-fabric",

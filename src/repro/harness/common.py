@@ -150,8 +150,8 @@ def telemetry_from_env() -> "contextlib.AbstractContextManager[Optional[Telemetr
     ``REPRO_TELEMETRY`` (JSONL path), ``REPRO_PROFILE`` (any non-empty
     value attaches the profiler). Example::
 
-        REPRO_PROFILE=1 python -m pytest benchmarks/bench_fig09_udp_tcp.py \\
-            --benchmark-only   # hotspots print via the attached profiler
+        REPRO_PROFILE=1 python -m pytest benchmarks/bench_figures.py \\
+            --benchmark-only -k fig9   # hotspots print via the profiler
     """
     return telemetry_session(
         jsonl_path=os.environ.get("REPRO_TELEMETRY") or None,

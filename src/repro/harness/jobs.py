@@ -1,9 +1,10 @@
 """The job registry behind ``repro run-all``.
 
-Every paper experiment the benchmark suite runs serially is registered
-here as independent :class:`~repro.harness.runner.JobSpec`\\ s at the same
-scales as ``benchmarks/`` (the scale of record documented in
-``EXPERIMENTS.md``), so the whole evaluation fans out across cores.
+:func:`default_jobs` is every cell of the
+:data:`~repro.harness.figures.FIGURES` table at its scale of record (the
+scale documented in ``EXPERIMENTS.md``) plus the self-asserting check
+jobs (``faults/``, ``timewin/``, ``fluid/``, ``shard/``, ``fabric/``), so
+the whole evaluation fans out across cores.
 
 Each ``job_*`` function is a spawn-importable wrapper around a scenario:
 JSON-safe kwargs in, JSON-safe dict out. Results are deterministic for a
@@ -17,24 +18,20 @@ Job names are paths (``fig6/aq/4vms``) so ``--filter fig6`` or
 
 from __future__ import annotations
 
+import random
+from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
-from ..units import gbps
+from ..units import MTU_BYTES, gbps
+from . import figures
 from .common import EntitySpec, telemetry_session
+from .figures import job_spec
 from .runner import JobSpec
 
-_HERE = __name__  # jobs resolve their targets from this module
-
-
-def _spec(name: str, func: str, timeout_s: float = 600.0, **kwargs) -> JobSpec:
-    tags = (name.split("/", 1)[0],)
-    return JobSpec(
-        name=name,
-        target=f"{_HERE}:{func}",
-        kwargs=kwargs,
-        tags=tags,
-        timeout_s=timeout_s,
-    )
+#: Entity start times are drawn from the seed inside this window (the
+#: repo benchmark's idiom), so a result cannot hinge on one phase
+#: alignment of flows that would otherwise all start at exactly t = 0.
+START_JITTER_S = 100e-6
 
 
 def _share_dict(result) -> dict:
@@ -67,38 +64,62 @@ def job_cc_pair(
     bottleneck_bps: float,
     duration: float,
     warmup: float,
+    seed: int = 1,
 ) -> dict:
     from .scenarios import run_cc_pair
 
     result = run_cc_pair(
         cc_a, flows_a, cc_b, flows_b, approach,
         bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
+        seed=seed,
     )
     out = _share_dict(result)
     out["ratio"] = result.ratio("A", "B")
     return out
 
 
+def job_share(
+    entities: Sequence[dict],
+    approach: str,
+    bottleneck_bps: float,
+    duration: float,
+    warmup: float,
+    seed: int = 1,
+) -> dict:
+    """Any number of long-lived entities, each a dict of
+    :class:`~repro.harness.common.EntitySpec` fields."""
+    from .scenarios import run_longlived_share
+
+    result = run_longlived_share(
+        [EntitySpec(**entity) for entity in entities], approach,
+        bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
+        seed=seed,
+    )
+    return _share_dict(result)
+
+
 def job_single_entity_wct(
-    num_vms: int, approach: str, volume_bytes: int, bottleneck_bps: float
+    num_vms: int, approach: str, volume_bytes: int, bottleneck_bps: float,
+    seed: int = 1,
 ) -> dict:
     from .scenarios import run_single_entity_wct
 
     wct = run_single_entity_wct(
         num_vms, approach, volume_bytes,
-        bottleneck_bps=bottleneck_bps, max_sim_time=10.0,
+        bottleneck_bps=bottleneck_bps, max_sim_time=10.0, seed=seed,
     )
     return {"approach": approach, "num_vms": num_vms, "wct_s": wct}
 
 
 def job_two_entity_fairness(
-    num_vms_b: int, approach: str, volume_bytes: int, bottleneck_bps: float
+    num_vms_b: int, approach: str, volume_bytes: int, bottleneck_bps: float,
+    seed: int = 1,
 ) -> dict:
     from .scenarios import run_two_entity_fairness
 
     result = run_two_entity_fairness(
         num_vms_b, approach, volume_bytes,
-        bottleneck_bps=bottleneck_bps, max_sim_time=10.0,
+        bottleneck_bps=bottleneck_bps, max_sim_time=10.0, seed=seed,
     )
     out = _wct_dict(result)
     out["fairness"] = result.fairness()
@@ -107,27 +128,39 @@ def job_two_entity_fairness(
 
 def job_flow_count(
     flows_b: int, weight_b: float, approach: str,
-    bottleneck_bps: float, duration: float, warmup: float,
+    bottleneck_bps: float, duration: float, warmup: float, seed: int = 1,
 ) -> dict:
+    """Figure 8's cell. With every flow starting at exactly t = 0, A's
+    lone CUBIC flow deterministically loses the synchronized slow-start
+    burst of B's 64 and is still recovering inside the measurement window
+    — a phase lock, not a sharing result — hence the start-time draw."""
     from .scenarios import run_longlived_share
 
+    rng = random.Random(seed)
     entities = [
-        EntitySpec(name="A", cc="cubic", num_flows=1, weight=1.0),
-        EntitySpec(name="B", cc="cubic", num_flows=flows_b, weight=weight_b),
+        EntitySpec(name="A", cc="cubic", num_flows=1, weight=1.0,
+                   start_time=rng.uniform(0.0, START_JITTER_S)),
+        EntitySpec(name="B", cc="cubic", num_flows=flows_b, weight=weight_b,
+                   start_time=rng.uniform(0.0, START_JITTER_S)),
     ]
     result = run_longlived_share(
         entities, approach,
         bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
+        seed=seed,
     )
     out = _share_dict(result)
     out["ratio"] = result.ratio("A", "B")
     return out
 
 
-def job_udp_tcp_timeline(approach: str, bottleneck_bps: float, phase: float) -> dict:
+def job_udp_tcp_timeline(
+    approach: str, bottleneck_bps: float, phase: float, seed: int = 1
+) -> dict:
     from .scenarios import run_udp_tcp_timeline
 
-    result = run_udp_tcp_timeline(approach, bottleneck_bps=bottleneck_bps, phase=phase)
+    result = run_udp_tcp_timeline(
+        approach, bottleneck_bps=bottleneck_bps, phase=phase, seed=seed
+    )
     return {
         "approach": approach,
         "rates_in_window": {
@@ -137,13 +170,14 @@ def job_udp_tcp_timeline(approach: str, bottleneck_bps: float, phase: float) -> 
 
 
 def job_cc_pair_wct(
-    cc_a: str, cc_b: str, approach: str, volume_bytes: int, bottleneck_bps: float
+    cc_a: str, cc_b: str, approach: str, volume_bytes: int, bottleneck_bps: float,
+    seed: int = 1,
 ) -> dict:
     from .scenarios import run_cc_pair_wct
 
     result = run_cc_pair_wct(
         cc_a, cc_b, approach, volume_bytes,
-        num_vms=4, bottleneck_bps=bottleneck_bps, max_sim_time=10.0,
+        num_vms=4, bottleneck_bps=bottleneck_bps, max_sim_time=10.0, seed=seed,
     )
     out = _wct_dict(result)
     out["fairness"] = result.fairness()
@@ -151,7 +185,8 @@ def job_cc_pair_wct(
 
 
 def job_vm_profile(
-    approach: str, link_rate_bps: float, profile_rate_bps: float, duration: float
+    approach: str, link_rate_bps: float, profile_rate_bps: float, duration: float,
+    seed: int = 1,
 ) -> dict:
     from .scenarios import run_vm_profile
 
@@ -160,6 +195,7 @@ def job_vm_profile(
         link_rate_bps=link_rate_bps,
         profile_rate_bps=profile_rate_bps,
         duration=duration,
+        seed=seed,
     )
     return {
         "approach": result.approach,
@@ -171,17 +207,120 @@ def job_vm_profile(
 
 
 def job_cc_preservation(
-    cc: str, use_aq: bool, allocated_bps: float, capacity_bps: float
+    cc: str, use_aq: bool, allocated_bps: float, capacity_bps: float,
+    seed: int = 1,
 ) -> dict:
     from .scenarios import run_cc_preservation
 
     result = run_cc_preservation(
-        cc, use_aq=use_aq, allocated_bps=allocated_bps, capacity_bps=capacity_bps
+        cc, use_aq=use_aq, allocated_bps=allocated_bps,
+        capacity_bps=capacity_bps, seed=seed,
     )
     return {
         "label": result.label,
         "throughput_bps": result.throughput_bps,
         "delay_p95_s": result.delay_p95,
+    }
+
+
+def job_discrepancy_peaks() -> dict:
+    """Figure 3: the fluid-model control loop under D(t) and under A(t)."""
+    from ..core.agap import simulate_discrepancy_control
+
+    strawman = simulate_discrepancy_control(use_agap=False).cycle_peaks()
+    agap = simulate_discrepancy_control(use_agap=True).cycle_peaks()
+    # A-Gap cycles never escalate, so there are thousands of short ones:
+    # keep as many as the strawman has and summarize the rest.
+    return {
+        "strawman_peaks": strawman,
+        "agap_peaks": agap[:len(strawman)],
+        "agap_cycles": len(agap),
+        "agap_peak_range": [min(agap), max(agap)],
+    }
+
+
+def job_tofino_usage() -> dict:
+    from ..core.resources import tofino_usage
+
+    return {"usage": [asdict(usage) for usage in tofino_usage()]}
+
+
+def job_memory_series(counts: Sequence[int]) -> dict:
+    from ..core import resources
+
+    return {
+        "record_bytes": resources.AQ_RECORD_BYTES,
+        "sram_mb": resources.TOFINO_SRAM_BYTES / (1024 * 1024),
+        "max_aqs_in_sram": resources.max_aqs_in_sram(),
+        "series": list(resources.memory_series(list(counts)).items()),
+    }
+
+
+def job_limit_ablation(
+    limit_packets: int, allocated_bps: float, capacity_bps: float
+) -> dict:
+    from .scenarios import run_limit_ablation
+
+    (result,) = run_limit_ablation(
+        [limit_packets * MTU_BYTES],
+        allocated_bps=allocated_bps, capacity_bps=capacity_bps,
+    )
+    return asdict(result)
+
+
+def job_realloc_interval(interval: float, bottleneck_bps: float, phase: float) -> dict:
+    """Ablation C: a 2-flow CUBIC entity joins one ``phase`` after an
+    identical early one under weighted reallocation every ``interval``;
+    measure the joiner while it settles and the link once it has."""
+    from .scenarios import run_longlived_share
+
+    entities = [
+        EntitySpec(name="early", cc="cubic", num_flows=2, start_time=0.0),
+        EntitySpec(name="late", cc="cubic", num_flows=2, start_time=phase),
+    ]
+    share = run_longlived_share(
+        entities, "aq",
+        bottleneck_bps=bottleneck_bps, duration=3 * phase, warmup=phase / 2,
+        meter_interval=phase / 10,
+        enable_reallocation=True, reallocation_interval=interval,
+    )
+    return {
+        "late_bps": share.meters["late"].mean_rate(
+            after=phase + 5e-3, before=2 * phase
+        ),
+        "steady_total_bps": sum(
+            meter.mean_rate(after=2 * phase) for meter in share.meters.values()
+        ),
+    }
+
+
+def job_small_flow_protection(
+    approach: str, bottleneck_bps: float, duration: float
+) -> dict:
+    from ..errors import ConfigurationError
+    from .scenarios import run_small_flow_protection
+
+    try:
+        result = run_small_flow_protection(
+            approach, bottleneck_bps=bottleneck_bps, duration=duration
+        )
+    except ConfigurationError:  # no victim flow completed at all
+        return {"approach": approach, "starved": True}
+    return {**asdict(result), "starved": False}
+
+
+def job_perflow_state(counts: Sequence[int]) -> dict:
+    from ..core.resources import AQ_RECORD_BYTES
+    from ..queues.perflow import PER_QUEUE_STATE_BYTES, state_bytes_per_entity
+
+    return {
+        "per_queue_state_bytes": PER_QUEUE_STATE_BYTES,
+        "aq_record_bytes": AQ_RECORD_BYTES,
+        "state_bytes": [
+            [n, state_bytes_per_entity(n, per_flow_queues=True),
+             state_bytes_per_entity(n, per_flow_queues=False)]
+            for n in counts
+        ],
     }
 
 
@@ -579,123 +718,39 @@ def job_fabric_mixed_equiv(
 
 # -- the registry --------------------------------------------------------------
 
-#: Benchmark-suite scales (keep in sync with benchmarks/bench_*.py).
-_BOTTLENECK = gbps(2)
-_FIG1_PAIRS = [
-    ("cubic", "newreno"), ("cubic", "dctcp"), ("newreno", "dctcp"),
-    ("cubic", "swift"), ("dctcp", "swift"), ("newreno", "swift"),
-]
-_VM_COUNTS = (1, 2, 4, 8)
-_APPROACHES = ("pq", "aq", "prl", "drl")
-_FIG8_FLOWS = (1, 4, 16, 64)
-_FIG10_PAIRS = [("cubic", "dctcp"), ("newreno", "dctcp"), ("cubic", "swift")]
-_TABLE2_ROWS = [
-    ("cubic", 5, "cubic", 5), ("cubic", 5, "dctcp", 5),
-    ("newreno", 5, "dctcp", 5), ("illinois", 5, "dctcp", 5),
-    ("cubic", 5, "swift", 5), ("dctcp", 5, "swift", 5),
-    ("dctcp", 10, "newreno", 5), ("dctcp", 10, "swift", 5),
-]
-_TABLE4_CCS = ("cubic", "newreno", "dctcp")
+
+def _check(name: str, func: str, **kwargs) -> JobSpec:
+    return job_spec(name, f"{__name__}:{func}", **kwargs)
 
 
 def default_jobs() -> List[JobSpec]:
-    """Every registered experiment job, in report order."""
-    specs: List[JobSpec] = []
-
-    for cc_a, cc_b in _FIG1_PAIRS:
-        specs.append(_spec(
-            f"fig1/pq/10{cc_a}+10{cc_b}", "job_cc_pair",
-            cc_a=cc_a, flows_a=10, cc_b=cc_b, flows_b=10, approach="pq",
-            bottleneck_bps=_BOTTLENECK, duration=60e-3, warmup=25e-3,
-        ))
-
-    for approach in _APPROACHES:
-        for num_vms in _VM_COUNTS:
-            specs.append(_spec(
-                f"fig6/{approach}/{num_vms}vms", "job_single_entity_wct",
-                num_vms=num_vms, approach=approach,
-                volume_bytes=8_000_000, bottleneck_bps=_BOTTLENECK,
-            ))
-
-    for approach in _APPROACHES:
-        for num_vms in _VM_COUNTS:
-            specs.append(_spec(
-                f"fig7/{approach}/{num_vms}vms", "job_two_entity_fairness",
-                num_vms_b=num_vms, approach=approach,
-                volume_bytes=8_000_000, bottleneck_bps=_BOTTLENECK,
-            ))
-
-    for flows_b in _FIG8_FLOWS:
-        for approach in ("pq", "aq"):
-            specs.append(_spec(
-                f"fig8/{approach}/{flows_b}flows", "job_flow_count",
-                flows_b=flows_b, weight_b=1.0, approach=approach,
-                bottleneck_bps=_BOTTLENECK, duration=80e-3, warmup=30e-3,
-            ))
-    specs.append(_spec(
-        "fig8/aq-1to2/16flows", "job_flow_count",
-        flows_b=16, weight_b=2.0, approach="aq",
-        bottleneck_bps=_BOTTLENECK, duration=80e-3, warmup=30e-3,
-    ))
+    """Every registered job, in report order: each figure's cells at its
+    scale of record, then the self-asserting check jobs."""
+    specs: List[JobSpec] = [
+        cell for figure in figures.FIGURES for cell in figure.cells(figure.record)
+    ]
+    bottleneck = gbps(2)
 
     for approach in ("pq", "aq"):
-        specs.append(_spec(
-            f"fig9/{approach}/timeline", "job_udp_tcp_timeline",
-            approach=approach, bottleneck_bps=_BOTTLENECK, phase=40e-3,
-        ))
-
-    for cc_a, cc_b in _FIG10_PAIRS:
-        for approach in _APPROACHES:
-            specs.append(_spec(
-                f"fig10/{approach}/{cc_a}+{cc_b}", "job_cc_pair_wct",
-                cc_a=cc_a, cc_b=cc_b, approach=approach,
-                volume_bytes=6_000_000, bottleneck_bps=_BOTTLENECK,
-            ))
-
-    for cc_a, n_a, cc_b, n_b in _TABLE2_ROWS:
-        for approach in ("pq", "aq"):
-            specs.append(_spec(
-                f"table2/{approach}/{n_a}{cc_a}+{n_b}{cc_b}", "job_cc_pair",
-                cc_a=cc_a, flows_a=n_a, cc_b=cc_b, flows_b=n_b,
-                approach=approach, bottleneck_bps=_BOTTLENECK,
-                duration=70e-3, warmup=25e-3,
-            ))
-
-    for approach in ("pq", "prl", "drl", "aq"):
-        specs.append(_spec(
-            f"table3/{approach}/profile", "job_vm_profile",
-            approach=approach, link_rate_bps=gbps(2.5),
-            profile_rate_bps=gbps(0.5), duration=0.15,
-        ))
-
-    for cc in _TABLE4_CCS:
-        for use_aq in (False, True):
-            specs.append(_spec(
-                f"table4/{'aq' if use_aq else 'pq'}/{cc}", "job_cc_preservation",
-                cc=cc, use_aq=use_aq,
-                allocated_bps=gbps(2.5), capacity_bps=gbps(10),
-            ))
-
-    for approach in ("pq", "aq"):
-        specs.append(_spec(
+        specs.append(_check(
             f"faults/restart/{approach}", "job_fault_restart",
-            approach=approach, bottleneck_bps=_BOTTLENECK,
+            approach=approach, bottleneck_bps=bottleneck,
             duration=120e-3, restart_at=50e-3,
         ))
-    specs.append(_spec(
+    specs.append(_check(
         "faults/restart/aq-late", "job_fault_restart",
-        approach="aq", bottleneck_bps=_BOTTLENECK,
+        approach="aq", bottleneck_bps=bottleneck,
         duration=150e-3, restart_at=90e-3,
     ))
     for blackout_ms in (5, 15):
-        specs.append(_spec(
+        specs.append(_check(
             f"faults/blackout/{blackout_ms}ms", "job_link_blackout",
             down_at=30e-3, up_at=(30 + blackout_ms) * 1e-3, approach="aq",
-            bottleneck_bps=_BOTTLENECK, duration=90e-3, warmup=20e-3,
+            bottleneck_bps=bottleneck, duration=90e-3, warmup=20e-3,
         ))
 
     for scenario in ("cc-pair", "udp-tcp", "weighted"):
-        specs.append(_spec(
+        specs.append(_check(
             f"timewin/validate/{scenario}", "job_timewin_validate",
             scenario=scenario, bottleneck_bps=gbps(1), duration=40e-3,
         ))
@@ -708,40 +763,40 @@ def default_jobs() -> List[JobSpec]:
         ("udp-basic", 0.01), ("aq-limit", 0.08),
         ("prl-shaper", 0.01), ("staggered", 0.02),
     ):
-        specs.append(_spec(
+        specs.append(_check(
             f"fluid/equiv/{scenario}", "job_fluid_equiv",
             scenario=scenario, tolerance=tolerance,
-            bottleneck_bps=_BOTTLENECK, duration=20e-3,
+            bottleneck_bps=bottleneck, duration=20e-3,
         ))
 
     # Sharded-fabric equivalence: shards=1 vs shards=k must hash
     # identically under the conservation auditor (docs/SCALING.md).
-    specs.append(_spec(
+    specs.append(_check(
         "shard/equiv/local-2", "job_shard_equiv",
         shards=2, duration=2e-3, pods=2, cross_gbps=0.0,
     ))
-    specs.append(_spec(
+    specs.append(_check(
         "shard/equiv/cross-4", "job_shard_equiv",
         shards=4, duration=2e-3,
     ))
-    specs.append(_spec(
+    specs.append(_check(
         "shard/equiv/blackout-2", "job_shard_equiv",
         shards=2, duration=2e-3,
         fault_blackout=["agg0->core1", 0.4e-3, 1.2e-3],
     ))
     # Observability plane: digest-neutral and journey-faithful
     # (docs/OBSERVABILITY.md "Fabric run ledger").
-    specs.append(_spec(
+    specs.append(_check(
         "shard/obs/neutral-2", "job_fabric_obs_neutral",
         shards=2, duration=2e-3, pods=2,
     ))
     # Mixed TCP+AQ traffic across shard cuts (docs/SCALING.md
     # "Traffic model"): determinism must survive dynamic flows and churn.
-    specs.append(_spec(
+    specs.append(_check(
         "fabric/mixed/equiv-2", "job_fabric_mixed_equiv",
         shard_counts=[1, 2], duration=2e-3,
     ))
-    specs.append(_spec(
+    specs.append(_check(
         "fabric/mixed/churn-4", "job_fabric_mixed_equiv",
         shard_counts=[1, 2, 4], duration=2e-3, churn=True,
     ))

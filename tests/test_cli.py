@@ -25,7 +25,7 @@ class TestParser:
 
     def test_rejects_unknown_approach(self):
         with pytest.raises(SystemExit):
-            main(["fig7", "--approach", "magic"])
+            main(["share", "--approach", "magic"])
 
 
 class TestFastCommands:
@@ -39,7 +39,7 @@ class TestFastCommands:
         assert "pipeline stages" in capsys.readouterr().out
 
     def test_fig12_runs(self, capsys):
-        assert main(["fig12", "--counts", "1000", "1000000"]) == 0
+        assert main(["fig12"]) == 0
         out = capsys.readouterr().out
         assert "1,000,000" in out
 
@@ -54,13 +54,14 @@ class TestFastCommands:
         assert "utilization" in out
 
     def test_fig8_runs_small(self, capsys):
-        code = main([
-            "fig8", "--flows", "4",
-            "--bottleneck-gbps", "0.5", "--duration-ms", "20",
-        ])
+        """Off the scale of record the command prints the table only: the
+        claim thresholds were calibrated at the scale of record."""
+        code = main(["fig8", "--bottleneck-gbps", "0.5", "--duration-ms", "20"])
         assert code == 0
         out = capsys.readouterr().out
         assert "PQ" in out and "AQ" in out
+        assert "claims not evaluated" in out
+        assert "[holds]" not in out and "[FAILS]" not in out
 
 
 class TestRunAllOverrides:
@@ -84,8 +85,9 @@ class TestRunAllOverrides:
             ]
 
         monkeypatch.setattr(runner, "run_jobs", fake_run_jobs)
-        assert main(["run-all", "--filter", "fig9/", "--timeout", "200"]) == 0
-        registered = filter_jobs(default_jobs(), ["fig9/"])
+        # A check family: the faked empty results carry no figure claims.
+        assert main(["run-all", "--filter", "faults/blackout", "--timeout", "200"]) == 0
+        registered = filter_jobs(default_jobs(), ["faults/blackout"])
         assert [s.name for s in launched] == [s.name for s in registered]
         for spec, original in zip(launched, registered):
             assert original.timeout_s != 200.0
