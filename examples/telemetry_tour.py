@@ -42,7 +42,7 @@ def main() -> None:
     tele.close()  # flush the JSONL sink
 
     print("--- scenario ---")
-    for name, rate in result.rates_bps.items():
+    for name, rate in result["rates_bps"].items():
         print(f"  {name}: {rate / 1e9:.2f} Gbps")
 
     print("\n--- 1. event tallies (SummarySink) ---")

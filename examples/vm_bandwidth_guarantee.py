@@ -34,8 +34,8 @@ def main() -> None:
         rows.append(
             [
                 approach.upper(),
-                rate_range_str(result.outbound_range_bps),
-                rate_range_str(result.inbound_range_bps),
+                rate_range_str(result["outbound_range_bps"]),
+                rate_range_str(result["inbound_range_bps"]),
             ]
         )
     print(render_table(["approach", "VM A outbound", "VM A inbound"], rows))

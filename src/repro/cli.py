@@ -36,7 +36,7 @@ from .harness.report import (
     render_table,
     write_metrics_snapshot,
 )
-from .harness.scenarios import run_fluid_share, run_longlived_share
+from .harness.scenarios import run_fault_restart, run_fluid_share, run_longlived_share
 from .units import format_rate, gbps
 
 
@@ -142,60 +142,56 @@ def cmd_share(args) -> int:
         if stats.get("static_reason"):
             print(f"fast path ineligible: {stats['static_reason']}")
         return 0
-    result = run_longlived_share(
+    share = run_longlived_share(
         entities, args.approach,
         bottleneck_bps=bottleneck, duration=duration,
         warmup=duration * 0.4, seed=args.seed,
-    )
+    ).to_dict()
     rows = [
         [name, format_rate(rate), f"{rate / bottleneck * 100:.0f}%"]
-        for name, rate in result.rates_bps.items()
+        for name, rate in share["rates_bps"].items()
     ]
     print(render_table(["entity", "throughput", "share"], rows))
-    print(f"utilization: {result.utilization * 100:.0f}%")
+    print(f"utilization: {share['utilization'] * 100:.0f}%")
     return 0
 
 
 def cmd_fault_restart(args) -> int:
     """Guarantee degradation + re-convergence after a switch restart."""
-    from .harness.scenarios import run_switch_restart
-
-    bottleneck = gbps(args.bottleneck_gbps)
-    duration = args.duration_ms * 1e-3
-    result = run_switch_restart(
-        bottleneck_bps=bottleneck,
-        duration=duration,
-        warmup=duration / 6,
+    result = run_fault_restart(
+        "aq",
+        bottleneck_bps=gbps(args.bottleneck_gbps),
+        duration=args.duration_ms * 1e-3,
         restart_at=args.restart_at_ms * 1e-3,
         seed=args.seed,
         tolerance=args.tolerance,
     )
     rows = []
-    for name, share in result.share_bps.items():
-        reconv = result.reconvergence_s[name]
+    for name, share in result["share_bps"].items():
+        reconv = result["reconvergence_s"][name]
         rows.append([
             name,
             format_rate(share),
-            format_rate(result.rates_before_bps[name]),
-            format_rate(result.rates_during_bps[name]),
-            format_rate(result.rates_after_bps[name]),
+            format_rate(result["rates_before_bps"][name]),
+            format_rate(result["rates_during_bps"][name]),
+            format_rate(result["rates_after_bps"][name]),
             f"{reconv * 1e3:.1f}ms" if reconv >= 0 else "never",
         ])
     print(render_table(
         ["entity", "granted", "before", "during", "after", "reconverge"], rows
     ))
-    for window in result.degraded_windows:
+    for window in result["degraded_windows"]:
         end = window["end"]
         closed = f"{(end - window['start']) * 1e3:.2f}ms" if end is not None \
             else "STILL OPEN"
         print(f"degraded: aq={window['aq_id']} entity={window['entity']} "
               f"@{window['switch']}/{window['position']} "
               f"t={window['start'] * 1e3:.1f}ms window={closed}")
-    for name, stats in result.restart_stats.items():
+    for name, stats in result["restart_stats"].items():
         print(f"restart: {name} x{stats['restarts']}, drained "
               f"{stats['drained_packets']} pkts "
               f"({stats['drained_bytes']:,} bytes)")
-    ok = result.recovered(args.tolerance)
+    ok = result["recovered"]
     print(f"recovered within {args.tolerance * 100:.0f}%: {'yes' if ok else 'NO'}")
     return 0 if ok else 1
 

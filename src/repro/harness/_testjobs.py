@@ -51,4 +51,4 @@ def job_tiny_scenario(seed: int = 1) -> dict:
         "cubic", 2, "dctcp", 2, "aq",
         bottleneck_bps=gbps(1), duration=30e-3, warmup=10e-3, seed=seed,
     )
-    return {"rates_bps": dict(result.rates_bps), "ratio": result.ratio("A", "B")}
+    return {"rates_bps": result["rates_bps"], "ratio": result["ratio"]}

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from ..cc.base import CongestionControl
 from ..cc.registry import make_cc
 from ..core.controller import AqController, AqGrant, AqRequest
-from ..core.feedback import delay_policy, drop_policy, ecn_policy
+from ..core.feedback import drop_policy, policy_for_cc
 from ..errors import ConfigurationError
 from ..obs.telemetry import Telemetry
 from ..ratelimit.dynamic import DynamicVmAllocator
@@ -281,15 +281,9 @@ def install_sharing(
         env.controller = controller
         limit = aq_limit_bytes if aq_limit_bytes is not None else queue_limit_bytes()
         for spec in entities:
-            policy = drop_policy()
-            if not spec.is_udp:
-                cc_name = spec.cc.lower()
-                if cc_name == "dctcp":
-                    policy = ecn_policy(
-                        ecn_threshold_bytes(env.share_bps[spec.name])
-                    )
-                elif cc_name == "swift":
-                    policy = delay_policy()
+            policy = drop_policy() if spec.is_udp else policy_for_cc(
+                spec.cc, ecn_threshold_bytes(env.share_bps[spec.name])
+            )
             grant = controller.request(
                 AqRequest(
                     entity=spec.name,

@@ -623,6 +623,7 @@ def fabric_fct_summary(merged: dict, config: FatTreeConfig) -> Optional[dict]:
     tcp = merged.get("tcp")
     if not tcp:
         return None
+    from ..stats.fairness import jain_index
     from ..stats.fct import FctCollector
 
     base_rtt = 2 * (
@@ -633,20 +634,6 @@ def fabric_fct_summary(merged: dict, config: FatTreeConfig) -> Optional[dict]:
 
     def collector() -> FctCollector:
         return FctCollector(config.host_rate_bps, base_rtt=base_rtt)
-
-    def flat_summary(coll: FctCollector) -> Optional[dict]:
-        values = coll.slowdowns(finite_only=True)
-        if not values:
-            return None
-        from ..stats.meters import percentile
-
-        return {
-            "p50": percentile(values, 50.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-            "mean": sum(values) / len(values),
-            "n": float(len(values)),
-        }
 
     recv = merged.get("tcp_recv") or {}
     overall = collector()
@@ -675,25 +662,21 @@ def fabric_fct_summary(merged: dict, config: FatTreeConfig) -> Optional[dict]:
         entry = dict(totals[tenant])
         coll = per_tenant.get(tenant)
         if coll is not None:
-            entry["slowdown"] = flat_summary(coll)
+            entry["slowdown"] = coll.overall_summary()
             entry["slowdown_bins"] = coll.summary()
         tenants[str(tenant)] = entry
     goodputs = [totals[t]["goodput_bytes"] for t in sorted(totals)]
-    fairness = None
-    if any(goodputs):
-        fairness = (sum(goodputs) ** 2) / (
-            len(goodputs) * sum(g ** 2 for g in goodputs)
-        )
     summary: dict = {
         "tenants": tenants,
         "overall": {
             "flows": sum(t["flows"] for t in totals.values()),
             "completed": len(overall),
-            "slowdown": flat_summary(overall),
+            "slowdown": overall.overall_summary(),
             "slowdown_bins": overall.summary(),
         },
         "fairness": {
-            "jain_goodput": fairness,
+            # Jain's index of an all-idle run is undefined, not 1.0.
+            "jain_goodput": jain_index(goodputs) if any(goodputs) else None,
             "goodput_bytes": {str(t): totals[t]["goodput_bytes"]
                               for t in sorted(totals)},
         },

@@ -10,8 +10,12 @@ to be spelled separately per consumer:
 * ``claims`` — what the paper says the artifact shows, each with the
   cells it needs and a predicate over their results.
 
-``render`` and ``claims`` read the JSON-safe job result dicts keyed by
-job name, so the same code serves all three consumers: ``repro <figure>``
+A cell's ``target`` is the function that runs it — a scenario in
+:mod:`~repro.harness.scenarios` / :mod:`~repro.harness.extensions`, or an
+analytic cell in :mod:`~repro.harness.jobs` — called as
+``target(**kwargs) -> dict``; nothing sits in between. ``render`` and
+``claims`` read those JSON-safe result dicts keyed by job name, so the
+same code serves all three consumers: ``repro <figure>``
 (:func:`repro.cli.cmd_figure`, cells run in-process), ``repro run-all``
 (:func:`repro.harness.jobs.default_jobs`, cells fanned out over workers,
 claims checked from the result lines) and ``benchmarks/bench_figures.py``
@@ -26,14 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..units import format_rate, format_size, gbps
+from ..units import MTU_BYTES, format_rate, format_size, gbps
 from .common import APPROACHES
 from .report import rate_range_str, render_table
 from .runner import JobSpec, resolve_target
 
 Results = Mapping[str, dict]
 
-_JOBS = "repro.harness.jobs"
+_JOBS = "repro.harness.jobs"  # analytic cells only
+_SCN = "repro.harness.scenarios"
 _EXT = "repro.harness.extensions"
 
 PQ_AQ = ("pq", "aq")
@@ -139,7 +144,7 @@ _PAIR_NAME = "/{0}/{2}{1}+{4}{3}"
 
 def _pair_cells(name, rows, approaches, scale: Scale, duration: float, warmup: float):
     return [
-        job_spec(name(approach, *row), f"{_JOBS}:job_cc_pair", cc_a=row[0], flows_a=row[1],
+        job_spec(name(approach, *row), f"{_SCN}:run_cc_pair", cc_a=row[0], flows_a=row[1],
                  cc_b=row[2], flows_b=row[3], approach=approach,
                  duration=duration, warmup=warmup, **_at(scale))
         for row in rows
@@ -236,8 +241,8 @@ def _vm_grid(figure: str, target: str, vms_kwarg: str):
 
     def cells(scale: Scale) -> List[JobSpec]:
         return [
-            job_spec(name(approach, vms), f"{_JOBS}:{target}", approach=approach,
-                     volume_bytes=8_000_000, **{vms_kwarg: vms}, **_at(scale))
+            job_spec(name(approach, vms), f"{_SCN}:{target}", approach=approach, **{vms_kwarg: vms},
+                     volume_bytes=8_000_000, max_sim_time=10.0, **_at(scale))
             for approach in APPROACHES
             for vms in VM_COUNTS
         ]
@@ -246,7 +251,7 @@ def _vm_grid(figure: str, target: str, vms_kwarg: str):
 
 
 def _fig6() -> Figure:
-    name, cells = _vm_grid("fig6", "job_single_entity_wct", "num_vms")
+    name, cells = _vm_grid("fig6", "run_single_entity_wct", "num_vms")
 
     def norm(results: Results, approach: str, vms: int) -> float:
         return results[name(approach, vms)]["wct_s"] / results[name("pq", vms)]["wct_s"]
@@ -269,7 +274,7 @@ def _fig6() -> Figure:
 
 
 def _fig7() -> Figure:
-    name, cells = _vm_grid("fig7", "job_two_entity_fairness", "num_vms_b")
+    name, cells = _vm_grid("fig7", "run_two_entity_fairness", "num_vms_b")
 
     def render(results: Results, scale: Scale) -> str:
         return _matrix("approach", _by_approach(), [(f"B={vms} VMs", vms) for vms in VM_COUNTS],
@@ -305,7 +310,7 @@ def _fig8() -> Figure:
     def cells(scale: Scale) -> List[JobSpec]:
         k = _stretch(scale, record)
         return [
-            job_spec(cell, f"{_JOBS}:job_flow_count", flows_b=flows, weight_b=weight,
+            job_spec(cell, f"{_SCN}:run_flow_count", flows_b=flows, weight_b=weight,
                      approach=approach, duration=80e-3 * k, warmup=30e-3 * k, **_at(scale))
             for cell, _, approach, flows, weight in grid
         ]
@@ -347,7 +352,7 @@ def _fig9() -> Figure:
 
     def cells(scale: Scale) -> List[JobSpec]:
         return [
-            job_spec(name(approach), f"{_JOBS}:job_udp_tcp_timeline", approach=approach,
+            job_spec(name(approach), f"{_SCN}:run_udp_tcp_timeline", approach=approach,
                      phase=40e-3 * _stretch(scale, record), **_at(scale))
             for approach in PQ_AQ
         ]
@@ -389,9 +394,9 @@ def _fig10() -> Figure:
 
     def cells(scale: Scale) -> List[JobSpec]:
         return [
-            job_spec(name(approach, pair), f"{_JOBS}:job_cc_pair_wct",
+            job_spec(name(approach, pair), f"{_SCN}:run_cc_pair_wct",
                      cc_a=pair.split("+")[0], cc_b=pair.split("+")[1], approach=approach,
-                     volume_bytes=6_000_000, **_at(scale))
+                     volume_bytes=6_000_000, max_sim_time=10.0, **_at(scale))
             for pair in pairs
             for approach in APPROACHES
         ]
@@ -441,7 +446,7 @@ def _table2() -> Figure:
     def cells(scale: Scale) -> List[JobSpec]:
         k = _stretch(scale, record)
         return _pair_cells(name, rows, PQ_AQ, scale, 70e-3 * k, 25e-3 * k) + [
-            job_spec(cell, f"{_JOBS}:job_share", approach=approach,
+            job_spec(cell, f"{_SCN}:run_share", approach=approach,
                      entities=[{"name": cc, "cc": cc, "num_flows": 1 if cc == "udp" else 3}
                                for cc in four],
                      duration=70e-3 * k, warmup=25e-3 * k, **_at(scale))
@@ -485,7 +490,7 @@ def _table3() -> Figure:
 
     def cells(scale: Scale) -> List[JobSpec]:
         return [
-            job_spec(name(approach), f"{_JOBS}:job_vm_profile", approach=approach,
+            job_spec(name(approach), f"{_SCN}:run_vm_profile", approach=approach,
                      link_rate_bps=link, profile_rate_bps=profile,
                      duration=0.15 * _stretch(scale, record), seed=scale.seed)
             for approach in approaches
@@ -531,7 +536,7 @@ def _table4() -> Figure:
 
     def cells(scale: Scale) -> List[JobSpec]:
         return [
-            job_spec(name(approach, cc), f"{_JOBS}:job_cc_preservation", cc=cc,
+            job_spec(name(approach, cc), f"{_SCN}:run_cc_preservation", cc=cc,
                      use_aq=(approach == "aq"), allocated_bps=gbps(2.5), capacity_bps=gbps(10),
                      seed=scale.seed)
             for cc in ccs
@@ -630,8 +635,9 @@ def _ablation_limits() -> Figure:
     small, large = name(limits[0]), name(limits[-1])
 
     def cells(scale: Scale) -> List[JobSpec]:
-        return [job_spec(name(packets), f"{_JOBS}:job_limit_ablation", limit_packets=packets,
-                         allocated_bps=allocated, capacity_bps=gbps(10))
+        return [job_spec(name(packets), f"{_SCN}:run_limit_ablation",
+                         limit_bytes=packets * MTU_BYTES, allocated_bps=allocated,
+                         capacity_bps=gbps(10))
                 for packets in limits]
 
     def render(results: Results, scale: Scale) -> str:
@@ -705,7 +711,7 @@ def _ablation_realloc() -> Figure:
     names = [name(ms) for ms in intervals_ms]
 
     def cells(scale: Scale) -> List[JobSpec]:
-        return [job_spec(name(ms), f"{_JOBS}:job_realloc_interval",
+        return [job_spec(name(ms), f"{_SCN}:run_realloc_interval",
                          interval=ms * 1e-3, bottleneck_bps=LINK, phase=30e-3)
                 for ms in intervals_ms]
 
@@ -800,7 +806,7 @@ def _ext_fct() -> Figure:
     pq, aq = "ext/fct/pq", "ext/fct/aq"
 
     def cells(scale: Scale) -> List[JobSpec]:
-        return [job_spec(cell, f"{_JOBS}:job_small_flow_protection", approach=approach,
+        return [job_spec(cell, f"{_SCN}:run_small_flow_protection", approach=approach,
                          bottleneck_bps=LINK, duration=0.1)
                 for cell, approach in ((pq, "pq"), (aq, "aq"))]
 

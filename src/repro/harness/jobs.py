@@ -2,15 +2,19 @@
 
 :func:`default_jobs` is every cell of the
 :data:`~repro.harness.figures.FIGURES` table at its scale of record (the
-scale documented in ``EXPERIMENTS.md``) plus the self-asserting check
-jobs (``faults/``, ``timewin/``, ``fluid/``, ``shard/``, ``fabric/``), so
-the whole evaluation fans out across cores.
+scale documented in ``EXPERIMENTS.md``) plus the ``faults/`` cells and the
+self-asserting check jobs (``timewin/``, ``fluid/``, ``shard/``,
+``fabric/``), so the whole evaluation fans out across cores.
 
-Each ``job_*`` function is a spawn-importable wrapper around a scenario:
-JSON-safe kwargs in, JSON-safe dict out. Results are deterministic for a
-given spec — except wall-clock measurements, which wrappers place under
-the ``"timing"`` key that :func:`~repro.harness.runner.results_digest`
-excludes, so ``--jobs 1`` and ``--jobs 8`` sweeps hash identically.
+A job is ``f(**json_kwargs) -> json_dict`` and its spec targets the
+function that runs it: the simulated cells live in
+:mod:`~repro.harness.scenarios` and :mod:`~repro.harness.extensions`;
+this module holds only what has no scenario behind it — the four analytic
+cells and the five checks, which compare *several* runs and raise when
+they disagree. Results are deterministic for a given spec — except
+wall-clock measurements, which the checks place under the ``"timing"``
+key that :func:`~repro.harness.runner.results_digest` excludes, so
+``--jobs 1`` and ``--jobs 8`` sweeps hash identically.
 
 Job names are paths (``fig6/aq/4vms``) so ``--filter fig6`` or
 ``--filter /aq/`` select natural slices.
@@ -18,209 +22,16 @@ Job names are paths (``fig6/aq/4vms``) so ``--filter fig6`` or
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
-from ..units import MTU_BYTES, gbps
+from ..units import gbps
 from . import figures
 from .common import EntitySpec, telemetry_session
 from .figures import job_spec
 from .runner import JobSpec
 
-#: Entity start times are drawn from the seed inside this window (the
-#: repo benchmark's idiom), so a result cannot hinge on one phase
-#: alignment of flows that would otherwise all start at exactly t = 0.
-START_JITTER_S = 100e-6
-
-
-def _share_dict(result) -> dict:
-    """JSON view of a ShareResult (meters/env are dropped)."""
-    return {
-        "approach": result.approach,
-        "rates_bps": dict(result.rates_bps),
-        "utilization": result.utilization,
-    }
-
-
-def _wct_dict(result) -> dict:
-    return {
-        "approach": result.approach,
-        "wct_s": dict(result.wct),
-        "completed": dict(result.completed),
-        "total_wct_s": result.total_wct,
-    }
-
-
-# -- job targets (spawn-importable, JSON in / JSON out) ------------------------
-
-
-def job_cc_pair(
-    cc_a: str,
-    flows_a: int,
-    cc_b: str,
-    flows_b: int,
-    approach: str,
-    bottleneck_bps: float,
-    duration: float,
-    warmup: float,
-    seed: int = 1,
-) -> dict:
-    from .scenarios import run_cc_pair
-
-    result = run_cc_pair(
-        cc_a, flows_a, cc_b, flows_b, approach,
-        bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
-        seed=seed,
-    )
-    out = _share_dict(result)
-    out["ratio"] = result.ratio("A", "B")
-    return out
-
-
-def job_share(
-    entities: Sequence[dict],
-    approach: str,
-    bottleneck_bps: float,
-    duration: float,
-    warmup: float,
-    seed: int = 1,
-) -> dict:
-    """Any number of long-lived entities, each a dict of
-    :class:`~repro.harness.common.EntitySpec` fields."""
-    from .scenarios import run_longlived_share
-
-    result = run_longlived_share(
-        [EntitySpec(**entity) for entity in entities], approach,
-        bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
-        seed=seed,
-    )
-    return _share_dict(result)
-
-
-def job_single_entity_wct(
-    num_vms: int, approach: str, volume_bytes: int, bottleneck_bps: float,
-    seed: int = 1,
-) -> dict:
-    from .scenarios import run_single_entity_wct
-
-    wct = run_single_entity_wct(
-        num_vms, approach, volume_bytes,
-        bottleneck_bps=bottleneck_bps, max_sim_time=10.0, seed=seed,
-    )
-    return {"approach": approach, "num_vms": num_vms, "wct_s": wct}
-
-
-def job_two_entity_fairness(
-    num_vms_b: int, approach: str, volume_bytes: int, bottleneck_bps: float,
-    seed: int = 1,
-) -> dict:
-    from .scenarios import run_two_entity_fairness
-
-    result = run_two_entity_fairness(
-        num_vms_b, approach, volume_bytes,
-        bottleneck_bps=bottleneck_bps, max_sim_time=10.0, seed=seed,
-    )
-    out = _wct_dict(result)
-    out["fairness"] = result.fairness()
-    return out
-
-
-def job_flow_count(
-    flows_b: int, weight_b: float, approach: str,
-    bottleneck_bps: float, duration: float, warmup: float, seed: int = 1,
-) -> dict:
-    """Figure 8's cell. With every flow starting at exactly t = 0, A's
-    lone CUBIC flow deterministically loses the synchronized slow-start
-    burst of B's 64 and is still recovering inside the measurement window
-    — a phase lock, not a sharing result — hence the start-time draw."""
-    from .scenarios import run_longlived_share
-
-    rng = random.Random(seed)
-    entities = [
-        EntitySpec(name="A", cc="cubic", num_flows=1, weight=1.0,
-                   start_time=rng.uniform(0.0, START_JITTER_S)),
-        EntitySpec(name="B", cc="cubic", num_flows=flows_b, weight=weight_b,
-                   start_time=rng.uniform(0.0, START_JITTER_S)),
-    ]
-    result = run_longlived_share(
-        entities, approach,
-        bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
-        seed=seed,
-    )
-    out = _share_dict(result)
-    out["ratio"] = result.ratio("A", "B")
-    return out
-
-
-def job_udp_tcp_timeline(
-    approach: str, bottleneck_bps: float, phase: float, seed: int = 1
-) -> dict:
-    from .scenarios import run_udp_tcp_timeline
-
-    result = run_udp_tcp_timeline(
-        approach, bottleneck_bps=bottleneck_bps, phase=phase, seed=seed
-    )
-    return {
-        "approach": approach,
-        "rates_in_window": {
-            window: dict(rates) for window, rates in result.rates_in_window.items()
-        },
-    }
-
-
-def job_cc_pair_wct(
-    cc_a: str, cc_b: str, approach: str, volume_bytes: int, bottleneck_bps: float,
-    seed: int = 1,
-) -> dict:
-    from .scenarios import run_cc_pair_wct
-
-    result = run_cc_pair_wct(
-        cc_a, cc_b, approach, volume_bytes,
-        num_vms=4, bottleneck_bps=bottleneck_bps, max_sim_time=10.0, seed=seed,
-    )
-    out = _wct_dict(result)
-    out["fairness"] = result.fairness()
-    return out
-
-
-def job_vm_profile(
-    approach: str, link_rate_bps: float, profile_rate_bps: float, duration: float,
-    seed: int = 1,
-) -> dict:
-    from .scenarios import run_vm_profile
-
-    result = run_vm_profile(
-        approach,
-        link_rate_bps=link_rate_bps,
-        profile_rate_bps=profile_rate_bps,
-        duration=duration,
-        seed=seed,
-    )
-    return {
-        "approach": result.approach,
-        "outbound_range_bps": list(result.outbound_range_bps),
-        "inbound_range_bps": list(result.inbound_range_bps),
-        "outbound_mean_bps": result.outbound_mean_bps,
-        "inbound_mean_bps": result.inbound_mean_bps,
-    }
-
-
-def job_cc_preservation(
-    cc: str, use_aq: bool, allocated_bps: float, capacity_bps: float,
-    seed: int = 1,
-) -> dict:
-    from .scenarios import run_cc_preservation
-
-    result = run_cc_preservation(
-        cc, use_aq=use_aq, allocated_bps=allocated_bps,
-        capacity_bps=capacity_bps, seed=seed,
-    )
-    return {
-        "label": result.label,
-        "throughput_bps": result.throughput_bps,
-        "delay_p95_s": result.delay_p95,
-    }
+# -- analytic cells (no simulator) ---------------------------------------------
 
 
 def job_discrepancy_peaks() -> dict:
@@ -256,59 +67,6 @@ def job_memory_series(counts: Sequence[int]) -> dict:
     }
 
 
-def job_limit_ablation(
-    limit_packets: int, allocated_bps: float, capacity_bps: float
-) -> dict:
-    from .scenarios import run_limit_ablation
-
-    (result,) = run_limit_ablation(
-        [limit_packets * MTU_BYTES],
-        allocated_bps=allocated_bps, capacity_bps=capacity_bps,
-    )
-    return asdict(result)
-
-
-def job_realloc_interval(interval: float, bottleneck_bps: float, phase: float) -> dict:
-    """Ablation C: a 2-flow CUBIC entity joins one ``phase`` after an
-    identical early one under weighted reallocation every ``interval``;
-    measure the joiner while it settles and the link once it has."""
-    from .scenarios import run_longlived_share
-
-    entities = [
-        EntitySpec(name="early", cc="cubic", num_flows=2, start_time=0.0),
-        EntitySpec(name="late", cc="cubic", num_flows=2, start_time=phase),
-    ]
-    share = run_longlived_share(
-        entities, "aq",
-        bottleneck_bps=bottleneck_bps, duration=3 * phase, warmup=phase / 2,
-        meter_interval=phase / 10,
-        enable_reallocation=True, reallocation_interval=interval,
-    )
-    return {
-        "late_bps": share.meters["late"].mean_rate(
-            after=phase + 5e-3, before=2 * phase
-        ),
-        "steady_total_bps": sum(
-            meter.mean_rate(after=2 * phase) for meter in share.meters.values()
-        ),
-    }
-
-
-def job_small_flow_protection(
-    approach: str, bottleneck_bps: float, duration: float
-) -> dict:
-    from ..errors import ConfigurationError
-    from .scenarios import run_small_flow_protection
-
-    try:
-        result = run_small_flow_protection(
-            approach, bottleneck_bps=bottleneck_bps, duration=duration
-        )
-    except ConfigurationError:  # no victim flow completed at all
-        return {"approach": approach, "starved": True}
-    return {**asdict(result), "starved": False}
-
-
 def job_perflow_state(counts: Sequence[int]) -> dict:
     from ..core.resources import AQ_RECORD_BYTES
     from ..queues.perflow import PER_QUEUE_STATE_BYTES, state_bytes_per_entity
@@ -324,58 +82,20 @@ def job_perflow_state(counts: Sequence[int]) -> dict:
     }
 
 
-def job_fault_restart(
-    approach: str, bottleneck_bps: float, duration: float, restart_at: float
-) -> dict:
-    from .scenarios import run_switch_restart
-
-    result = run_switch_restart(
-        approach=approach, bottleneck_bps=bottleneck_bps,
-        duration=duration, warmup=duration / 6, restart_at=restart_at,
-    )
-    return {
-        "approach": result.approach,
-        "fault_at_s": result.fault_at,
-        "share_bps": dict(result.share_bps),
-        "rates_before_bps": dict(result.rates_before_bps),
-        "rates_during_bps": dict(result.rates_during_bps),
-        "rates_after_bps": dict(result.rates_after_bps),
-        "reconvergence_s": dict(result.reconvergence_s),
-        "degraded_windows": list(result.degraded_windows),
-        "restart_stats": dict(result.restart_stats),
-        "recovered": result.recovered(),
-    }
-
-
-def job_link_blackout(
-    down_at: float, up_at: float, approach: str,
-    bottleneck_bps: float, duration: float, warmup: float,
-) -> dict:
-    from ..faults import activate_fault_plan, link_blackout_plan
-    from .scenarios import run_longlived_share
-
-    entities = [
-        EntitySpec(name="A", cc="cubic", num_flows=4),
-        EntitySpec(name="B", cc="cubic", num_flows=4),
-    ]
-    plan = link_blackout_plan("s-left->s-right", down_at, up_at)
-    with activate_fault_plan(plan):
-        result = run_longlived_share(
-            entities, approach,
-            bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
-        )
-    out = _share_dict(result)
-    out["blackout_s"] = up_at - down_at
-    return out
+# -- self-asserting checks ----------------------------------------------------
 
 
 def job_timewin_validate(
     scenario: str,
+    approach: str,
+    entities: Sequence[dict],
     bottleneck_bps: float,
     duration: float,
     window_ms: float = 1.0,
 ) -> dict:
-    """Run one small scenario under BOTH recorders and cross-validate.
+    """Run one small sharing scenario (``entities`` are dicts of
+    :class:`~repro.harness.common.EntitySpec` fields; ``scenario`` labels
+    the verdict) under BOTH recorders and cross-validate.
 
     The fixed-memory time windows and the per-packet flight recorder
     observe the same run; :func:`~repro.obs.timewin.crosscheck_with_flights`
@@ -384,40 +104,17 @@ def job_timewin_validate(
     verdict is deterministic, so these jobs fold into the sweep digest.
     """
     from ..obs.timewin import FlightCollector, crosscheck_with_flights
-    from .scenarios import run_cc_pair, run_longlived_share
+    from .scenarios import run_longlived_share
 
     collector = FlightCollector()
     with telemetry_session(timewin=True, timewin_window_s=window_ms * 1e-3) as tele:
         # In-memory flights only (no dump file): install before the build.
         tele.enable_flight_recording().attach(collector)
-        if scenario == "cc-pair":
-            run_cc_pair(
-                "cubic", 2, "dctcp", 2, "aq",
-                bottleneck_bps=bottleneck_bps,
-                duration=duration, warmup=duration / 3,
-            )
-        elif scenario == "udp-tcp":
-            entities = [
-                EntitySpec(name="T", cc="cubic", num_flows=2),
-                EntitySpec(name="U", cc="udp", num_flows=1),
-            ]
-            run_longlived_share(
-                entities, "pq",
-                bottleneck_bps=bottleneck_bps,
-                duration=duration, warmup=duration / 3,
-            )
-        elif scenario == "weighted":
-            entities = [
-                EntitySpec(name="A", cc="cubic", num_flows=1, weight=1.0),
-                EntitySpec(name="B", cc="cubic", num_flows=4, weight=2.0),
-            ]
-            run_longlived_share(
-                entities, "aq",
-                bottleneck_bps=bottleneck_bps,
-                duration=duration, warmup=duration / 3,
-            )
-        else:
-            raise ValueError(f"unknown timewin scenario {scenario!r}")
+        run_longlived_share(
+            [EntitySpec(**entity) for entity in entities], approach,
+            bottleneck_bps=bottleneck_bps,
+            duration=duration, warmup=duration / 3,
+        )
     verdict = crosscheck_with_flights(tele.timewin, collector.flights)
     verdict["scenario"] = scenario
     verdict["flights"] = len(collector.flights)
@@ -434,17 +131,21 @@ def job_timewin_validate(
 
 def job_fluid_equiv(
     scenario: str,
+    approach: str,
+    entities: Sequence[dict],
     tolerance: float,
     bottleneck_bps: float,
     duration: float,
 ) -> dict:
-    """Run one scenario in packet AND fluid mode; require both audit-clean
-    and per-entity delivered bytes within ``tolerance`` of each other.
+    """Run one all-UDP scenario (``entities`` are dicts of
+    :class:`~repro.harness.common.EntitySpec` fields; ``scenario`` labels
+    the verdict) in packet AND fluid mode; require both audit-clean and
+    per-entity delivered bytes within ``tolerance`` of each other.
 
-    The scenarios are policy-pinned: each entity's goodput is determined
-    by an explicit mechanism (AQ limit drops, PRL shaper rate, or an
-    undersubscribed bottleneck) rather than by enqueue races. Overloaded
-    equal-rate CBR through a deterministic drop-tail queue is
+    The registered scenarios are policy-pinned: each entity's goodput is
+    determined by an explicit mechanism (AQ limit drops, PRL shaper rate,
+    or an undersubscribed bottleneck) rather than by enqueue races.
+    Overloaded equal-rate CBR through a deterministic drop-tail queue is
     *phase-determined* in packet mode — one flow systematically wins the
     race — which is an artifact the fluid closed form intentionally does
     not reproduce (totals still match; see docs/PERFORMANCE.md).
@@ -454,36 +155,7 @@ def job_fluid_equiv(
     """
     from .scenarios import run_fluid_share
 
-    if scenario == "udp-basic":
-        approach = "pq"
-        entities = [
-            EntitySpec(name="A", cc="udp", udp_rate_bps=0.45 * bottleneck_bps),
-            EntitySpec(name="B", cc="udp", udp_rate_bps=0.40 * bottleneck_bps),
-        ]
-    elif scenario == "aq-limit":
-        approach = "aq"
-        entities = [
-            EntitySpec(name="A", cc="udp"),
-            EntitySpec(name="B", cc="udp"),
-        ]
-    elif scenario == "prl-shaper":
-        approach = "prl"
-        entities = [
-            EntitySpec(name="A", cc="udp"),
-            EntitySpec(name="B", cc="udp"),
-        ]
-    elif scenario == "staggered":
-        approach = "aq"
-        entities = [
-            EntitySpec(name="A", cc="udp"),
-            EntitySpec(
-                name="B", cc="udp",
-                start_time=duration / 4, stop_time=3 * duration / 4,
-            ),
-        ]
-    else:
-        raise ValueError(f"unknown fluid-equiv scenario {scenario!r}")
-
+    specs = [EntitySpec(**entity) for entity in entities]
     out: dict = {
         "scenario": scenario, "approach": approach, "tolerance": tolerance,
     }
@@ -491,7 +163,7 @@ def job_fluid_equiv(
     for mode in ("packet", "fluid"):
         with telemetry_session(audit=True) as tele:
             result = run_fluid_share(
-                entities, approach, bottleneck_bps=bottleneck_bps,
+                specs, approach, bottleneck_bps=bottleneck_bps,
                 duration=duration, fluid=(mode == "fluid"),
             )
         report = tele.report()["audit"]
@@ -725,48 +397,65 @@ def _check(name: str, func: str, **kwargs) -> JobSpec:
 
 def default_jobs() -> List[JobSpec]:
     """Every registered job, in report order: each figure's cells at its
-    scale of record, then the self-asserting check jobs."""
+    scale of record, the fault cells, then the self-asserting checks."""
     specs: List[JobSpec] = [
         cell for figure in figures.FIGURES for cell in figure.cells(figure.record)
     ]
+    scenarios = "repro.harness.scenarios"
     bottleneck = gbps(2)
 
-    for approach in ("pq", "aq"):
-        specs.append(_check(
-            f"faults/restart/{approach}", "job_fault_restart",
+    for name, approach, duration, restart_at in (
+        ("pq", "pq", 120e-3, 50e-3),
+        ("aq", "aq", 120e-3, 50e-3),
+        ("aq-late", "aq", 150e-3, 90e-3),
+    ):
+        specs.append(job_spec(
+            f"faults/restart/{name}", f"{scenarios}:run_fault_restart",
             approach=approach, bottleneck_bps=bottleneck,
-            duration=120e-3, restart_at=50e-3,
+            duration=duration, restart_at=restart_at,
         ))
-    specs.append(_check(
-        "faults/restart/aq-late", "job_fault_restart",
-        approach="aq", bottleneck_bps=bottleneck,
-        duration=150e-3, restart_at=90e-3,
-    ))
     for blackout_ms in (5, 15):
-        specs.append(_check(
-            f"faults/blackout/{blackout_ms}ms", "job_link_blackout",
+        specs.append(job_spec(
+            f"faults/blackout/{blackout_ms}ms", f"{scenarios}:run_link_blackout",
             down_at=30e-3, up_at=(30 + blackout_ms) * 1e-3, approach="aq",
             bottleneck_bps=bottleneck, duration=90e-3, warmup=20e-3,
         ))
 
-    for scenario in ("cc-pair", "udp-tcp", "weighted"):
+    def flows(name: str, cc: str, num_flows: int, weight: float = 1.0) -> dict:
+        return {"name": name, "cc": cc, "num_flows": num_flows, "weight": weight}
+
+    for scenario, approach, entities in (
+        ("cc-pair", "aq", [flows("A", "cubic", 2), flows("B", "dctcp", 2)]),
+        ("udp-tcp", "pq", [flows("T", "cubic", 2), flows("U", "udp", 1)]),
+        ("weighted", "aq", [flows("A", "cubic", 1), flows("B", "cubic", 4, weight=2.0)]),
+    ):
         specs.append(_check(
             f"timewin/validate/{scenario}", "job_timewin_validate",
-            scenario=scenario, bottleneck_bps=gbps(1), duration=40e-3,
+            scenario=scenario, approach=approach, entities=entities,
+            bottleneck_bps=gbps(1), duration=40e-3,
         ))
 
     # Hybrid fluid/packet equivalence: tight tolerances where the packet
     # mode is itself deterministic per entity; aq-limit is looser because
     # packet mode splits the trunk buffer by enqueue phase (see
     # job_fluid_equiv's docstring).
-    for scenario, tolerance in (
-        ("udp-basic", 0.01), ("aq-limit", 0.08),
-        ("prl-shaper", 0.01), ("staggered", 0.02),
+    duration = 20e-3
+
+    def udp(name: str, **fields) -> dict:
+        return {"name": name, "cc": "udp", **fields}
+
+    for scenario, approach, tolerance, entities in (
+        ("udp-basic", "pq", 0.01, [udp("A", udp_rate_bps=0.45 * bottleneck),
+                                   udp("B", udp_rate_bps=0.40 * bottleneck)]),
+        ("aq-limit", "aq", 0.08, [udp("A"), udp("B")]),
+        ("prl-shaper", "prl", 0.01, [udp("A"), udp("B")]),
+        ("staggered", "aq", 0.02, [udp("A"), udp("B", start_time=duration / 4,
+                                                 stop_time=3 * duration / 4)]),
     ):
         specs.append(_check(
             f"fluid/equiv/{scenario}", "job_fluid_equiv",
-            scenario=scenario, tolerance=tolerance,
-            bottleneck_bps=bottleneck, duration=20e-3,
+            scenario=scenario, approach=approach, entities=entities,
+            tolerance=tolerance, bottleneck_bps=bottleneck, duration=duration,
         ))
 
     # Sharded-fabric equivalence: shards=1 vs shards=k must hash

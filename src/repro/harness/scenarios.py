@@ -1,14 +1,30 @@
 """Experiment scenarios: one function per paper experiment family.
 
-Each function builds a topology, wires one sharing approach
-(:mod:`repro.harness.common`), runs the workload, and returns plain result
-dataclasses. The benchmarks in ``benchmarks/`` call these at documented
-scales and print the paper's rows/series; tests call them at tiny scales.
+Two kinds of function live here, and nothing sits between them and the
+:data:`~repro.harness.figures.FIGURES` table:
+
+* **cells** — ``f(**json_kwargs) -> json_dict``. A figure cell or a
+  ``faults/*`` job names one of these as its target, so the dict returned
+  here *is* the result ``run-all`` records, and a cell's kwargs are the
+  whole scenario. Each builds a topology, wires one sharing approach
+  (:mod:`repro.harness.common`), runs the workload and measures it.
+* **engines** — :func:`run_longlived_share`, :func:`run_fluid_share` and
+  :func:`run_switch_restart` take typed inputs
+  (:class:`~repro.harness.common.EntitySpec`, a
+  :class:`~repro.faults.FaultPlan`) and return a result object holding
+  live handles (meters, the :class:`~repro.harness.common.SharingEnv`),
+  which the benchmark suite and the telemetry tests read. The two whose
+  runs are recorded own that one JSON projection as ``to_dict()``; the
+  cells are built on them.
+
+:mod:`repro.harness.extensions` holds the cells whose topologies
+:func:`~repro.harness.common.install_sharing` does not cover.
 """
 
 from __future__ import annotations
 
 import contextlib
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,9 +33,10 @@ from ..faults import (
     FaultPlan,
     activate_fault_plan,
     get_active_fault_plan,
+    link_blackout_plan,
     switch_restart_plan,
 )
-from ..core.feedback import drop_policy, ecn_policy
+from ..core.feedback import drop_policy, policy_for_cc
 from ..errors import ConfigurationError
 from ..ratelimit.elasticswitch import ElasticSwitch, VmProfile
 from ..ratelimit.token_bucket import TokenBucketShaper
@@ -71,6 +88,15 @@ class ShareResult:
         if hi == 0:
             return 1.0
         return min(self.rates_bps[a], self.rates_bps[b]) / hi
+
+    def to_dict(self) -> dict:
+        """What ``run-all`` records of a sharing run (the live handles stay
+        behind)."""
+        return {
+            "approach": self.approach,
+            "rates_bps": dict(self.rates_bps),
+            "utilization": self.utilization,
+        }
 
 
 def _build_dumbbell_for(
@@ -247,33 +273,71 @@ def run_cc_pair(
     duration: float = 60e-3,
     warmup: float = 20e-3,
     seed: int = 1,
-) -> ShareResult:
+) -> dict:
     """Two equal-weight entities with different CCs (Fig 1 / Table 2 rows)."""
     entities = [
         EntitySpec(name="A", cc=cc_a, num_flows=flows_a),
         EntitySpec(name="B", cc=cc_b, num_flows=flows_b),
     ]
-    return run_longlived_share(
+    share = run_longlived_share(
         entities, approach, bottleneck_bps, duration, warmup, seed
     )
+    return {**share.to_dict(), "ratio": share.ratio("A", "B")}
+
+
+def run_share(
+    entities: Sequence[dict],
+    approach: str,
+    bottleneck_bps: float,
+    duration: float,
+    warmup: float,
+    seed: int = 1,
+) -> dict:
+    """Any number of long-lived entities, each a dict of
+    :class:`~repro.harness.common.EntitySpec` fields (Table 2's
+    four-entity row)."""
+    return run_longlived_share(
+        [EntitySpec(**entity) for entity in entities], approach,
+        bottleneck_bps, duration, warmup, seed,
+    ).to_dict()
+
+
+#: Entity start times are drawn from the seed inside this window (the
+#: repo benchmark's idiom), so a result cannot hinge on one phase
+#: alignment of flows that would otherwise all start at exactly t = 0.
+START_JITTER_S = 100e-6
+
+
+def run_flow_count(
+    flows_b: int,
+    weight_b: float,
+    approach: str,
+    bottleneck_bps: float,
+    duration: float,
+    warmup: float,
+    seed: int = 1,
+) -> dict:
+    """Figure 8: A's lone CUBIC flow against B's ``flows_b``. With every
+    flow starting at exactly t = 0, A deterministically loses the
+    synchronized slow-start burst of B's 64 and is still recovering inside
+    the measurement window — a phase lock, not a sharing result — hence
+    the start-time draw."""
+    rng = random.Random(seed)
+    entities = [
+        EntitySpec(name="A", cc="cubic", num_flows=1, weight=1.0,
+                   start_time=rng.uniform(0.0, START_JITTER_S)),
+        EntitySpec(name="B", cc="cubic", num_flows=flows_b, weight=weight_b,
+                   start_time=rng.uniform(0.0, START_JITTER_S)),
+    ]
+    share = run_longlived_share(
+        entities, approach, bottleneck_bps, duration, warmup, seed
+    )
+    return {**share.to_dict(), "ratio": share.ratio("A", "B")}
 
 
 # ---------------------------------------------------------------------------
 # Workload-completion-time experiments (Fig 6, Fig 7, Fig 10)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class WctResult:
-    """Workload completion times of one run."""
-
-    approach: str
-    wct: Dict[str, float]  # entity -> completion time (inf if unfinished)
-    completed: Dict[str, bool]
-    total_wct: float
-
-    def fairness(self, a: str = "A", b: str = "B") -> float:
-        return entity_fairness(self.wct[a], self.wct[b])
 
 
 class _VmQueueRunner:
@@ -335,14 +399,15 @@ def run_wct(
     seed: int = 1,
     aq_limit_bytes: Optional[float] = None,
     arrival_window: Optional[float] = None,
-) -> WctResult:
+) -> dict:
     """Entities run fixed-volume web-search workloads; measure completion.
 
     Flows arrive over ``arrival_window`` (defaulting to the time the
     entity's fair share needs to drain its volume, so offered load tracks
     the allocation) on random VMs; each VM runs its queue FIFO, one flow
     at a time. The entity's "workload completion time" is when its last
-    flow finishes (paper Sections 5.2-5.3).
+    flow finishes (paper Sections 5.2-5.3); ``wct_s`` maps each entity to
+    it (``inf`` if unfinished at ``max_sim_time``).
     """
     dumbbell, src_hosts, dst_hosts = _build_dumbbell_for(
         entities, approach, bottleneck_bps, seed
@@ -399,19 +464,28 @@ def run_wct(
             break
         network.run(until=min(network.sim.now + chunk, max_sim_time))
 
-    wct: Dict[str, float] = {}
-    completed: Dict[str, bool] = {}
-    for name, tracker in trackers.items():
-        completed[name] = tracker.all_done
-        wct[name] = (
-            tracker.workload_completion_time() if tracker.all_done else float("inf")
-        )
-    return WctResult(
-        approach=approach,
-        wct=wct,
-        completed=completed,
-        total_wct=max(wct.values()),
+    wct = {
+        name: tracker.workload_completion_time() if tracker.all_done else float("inf")
+        for name, tracker in trackers.items()
+    }
+    return {
+        "approach": approach,
+        "wct_s": wct,
+        "completed": {name: tracker.all_done for name, tracker in trackers.items()},
+        "total_wct_s": max(wct.values()),
+    }
+
+
+def _two_entity_wct(
+    entities: Sequence[EntitySpec], approach: str, volume_bytes: int, **run
+) -> dict:
+    """Entities A and B each run ``volume_bytes``: :func:`run_wct` plus
+    their entity fairness."""
+    out = run_wct(
+        entities, approach, {spec.name: volume_bytes for spec in entities}, **run
     )
+    out["fairness"] = entity_fairness(out["wct_s"]["A"], out["wct_s"]["B"])
+    return out
 
 
 def run_single_entity_wct(
@@ -422,7 +496,7 @@ def run_single_entity_wct(
     max_sim_time: float = 5.0,
     seed: int = 1,
     cc: str = "cubic",
-) -> float:
+) -> dict:
     """Figure 6: one entity, ``num_vms`` VMs, normalized elsewhere."""
     spec = EntitySpec(name="A", cc=cc, num_vms=num_vms)
     result = run_wct(
@@ -433,7 +507,7 @@ def run_single_entity_wct(
         max_sim_time=max_sim_time,
         seed=seed,
     )
-    return result.wct["A"]
+    return {"approach": approach, "num_vms": num_vms, "wct_s": result["wct_s"]["A"]}
 
 
 def run_two_entity_fairness(
@@ -444,20 +518,16 @@ def run_two_entity_fairness(
     max_sim_time: float = 5.0,
     seed: int = 1,
     cc: str = "cubic",
-) -> WctResult:
+) -> dict:
     """Figure 7: entity A (1 VM) vs entity B (``num_vms_b`` VMs), equal
     weights, equal workload volumes."""
     entities = [
         EntitySpec(name="A", cc=cc, num_vms=1),
         EntitySpec(name="B", cc=cc, num_vms=num_vms_b),
     ]
-    return run_wct(
-        entities,
-        approach,
-        {"A": volume_bytes, "B": volume_bytes},
-        bottleneck_bps=bottleneck_bps,
-        max_sim_time=max_sim_time,
-        seed=seed,
+    return _two_entity_wct(
+        entities, approach, volume_bytes,
+        bottleneck_bps=bottleneck_bps, max_sim_time=max_sim_time, seed=seed,
     )
 
 
@@ -470,36 +540,21 @@ def run_cc_pair_wct(
     bottleneck_bps: float = gbps(10),
     max_sim_time: float = 5.0,
     seed: int = 1,
-) -> WctResult:
+) -> dict:
     """Figure 10: two 4-VM entities with different CCs, equal volumes."""
     entities = [
         EntitySpec(name="A", cc=cc_a, num_vms=num_vms),
         EntitySpec(name="B", cc=cc_b, num_vms=num_vms),
     ]
-    return run_wct(
-        entities,
-        approach,
-        {"A": volume_bytes, "B": volume_bytes},
-        bottleneck_bps=bottleneck_bps,
-        max_sim_time=max_sim_time,
-        seed=seed,
+    return _two_entity_wct(
+        entities, approach, volume_bytes,
+        bottleneck_bps=bottleneck_bps, max_sim_time=max_sim_time, seed=seed,
     )
 
 
 # ---------------------------------------------------------------------------
 # VM bi-directional profile experiment (Table 3)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class VmProfileResult:
-    """Rate ranges of the profiled VM (Table 3's row format)."""
-
-    approach: str
-    outbound_range_bps: Tuple[float, float]
-    inbound_range_bps: Tuple[float, float]
-    outbound_mean_bps: float
-    inbound_mean_bps: float
 
 
 def run_vm_profile(
@@ -511,13 +566,15 @@ def run_vm_profile(
     demand_factor: float = 1.5,
     seed: int = 1,
     cc: str = "cubic",
-) -> VmProfileResult:
+) -> dict:
     """Table 3: star of 4 VMs; VM A has a 5 Gbps in / 5 Gbps out profile.
 
     VM A sends web-search traffic to B, C, D, and B, C, D all send to A —
     each pair runs an M/G/1-style job queue offering ``demand_factor`` x
     the profile rate, so A's inbound (and outbound) demand is ~3 x
     ``demand_factor`` x its profile: far more than the profile allows.
+    Returns VM A's post-warm-up ``[low, high]`` rate range and mean per
+    direction (Table 3's row format).
     """
     star = Star(
         StarConfig(
@@ -613,27 +670,18 @@ def run_vm_profile(
     in_meter.stop()
 
     after = duration * warmup_fraction
-    return VmProfileResult(
-        approach=approach,
-        outbound_range_bps=out_meter.rate_range(after=after),
-        inbound_range_bps=in_meter.rate_range(after=after),
-        outbound_mean_bps=out_meter.mean_rate(after=after),
-        inbound_mean_bps=in_meter.mean_rate(after=after),
-    )
+    return {
+        "approach": approach,
+        "outbound_range_bps": list(out_meter.rate_range(after=after)),
+        "inbound_range_bps": list(in_meter.rate_range(after=after)),
+        "outbound_mean_bps": out_meter.mean_rate(after=after),
+        "inbound_mean_bps": in_meter.mean_rate(after=after),
+    }
 
 
 # ---------------------------------------------------------------------------
 # CC-behaviour preservation (Table 4)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PreservationResult:
-    """Throughput + 95th-percentile queuing delay of one configuration."""
-
-    label: str
-    throughput_bps: float
-    delay_p95: float
 
 
 def run_cc_preservation(
@@ -645,10 +693,11 @@ def run_cc_preservation(
     duration: float = 80e-3,
     warmup: float = 30e-3,
     seed: int = 1,
-) -> PreservationResult:
+) -> dict:
     """Table 4: an entity allocated R inside a C-capacity fabric under AQ
     should behave like the same entity on a dedicated R-capacity fabric
-    under PQ — same throughput, same (virtual) queuing-delay distribution.
+    under PQ — same throughput, same (virtual) 95th-percentile queuing
+    delay.
     """
     bottleneck = allocated_bps if not use_aq else capacity_bps
     queue_config = QueueConfig(
@@ -675,13 +724,6 @@ def run_cc_preservation(
     if use_aq:
         controller = AqController(network)
         controller.register_resource("bottleneck", capacity_bps)
-        policy = drop_policy()
-        if cc.lower() == "dctcp":
-            policy = ecn_policy(ecn_threshold_bytes(allocated_bps))
-        elif cc.lower() == "swift":
-            from ..core.feedback import delay_policy
-
-            policy = delay_policy()
         grant = controller.request(
             AqRequest(
                 entity="E",
@@ -689,7 +731,7 @@ def run_cc_preservation(
                 position="ingress",
                 absolute_rate_bps=allocated_bps,
                 share_group="bottleneck",
-                policy=policy,
+                policy=policy_for_cc(cc, ecn_threshold_bytes(allocated_bps)),
                 limit_bytes=queue_limit_bytes(),
                 record_delays=True,
             )
@@ -731,23 +773,16 @@ def run_cc_preservation(
         samples = dumbbell.bottleneck_port.queue.stats.queuing_delays
     # Skip the slow-start transient: only keep the steady-state tail.
     steady = samples[len(samples) // 3 :] if samples else [0.0]
-    delay_p95 = percentile(steady, 95.0)
-    label = f"{cc}/{'AQ' if use_aq else 'PQ'}"
-    return PreservationResult(label=label, throughput_bps=throughput, delay_p95=delay_p95)
+    return {
+        "label": f"{cc}/{'AQ' if use_aq else 'PQ'}",
+        "throughput_bps": throughput,
+        "delay_p95_s": percentile(steady, 95.0),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Fig 9: staggered UDP/TCP entities under weighted AQ reallocation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TimelineResult:
-    """Per-entity throughput time series."""
-
-    approach: str
-    series: Dict[str, List[Tuple[float, float]]]
-    rates_in_window: Dict[str, Dict[str, float]]
 
 
 def run_udp_tcp_timeline(
@@ -756,7 +791,7 @@ def run_udp_tcp_timeline(
     phase: float = 40e-3,
     seed: int = 1,
     reallocation_interval: float = 5e-3,
-) -> TimelineResult:
+) -> dict:
     """Figure 9: four TCP entities join staggered, then a UDP blaster joins
     and leaves. Under PQ the UDP entity starves everyone; under weighted AQ
     each of the n active entities holds ~1/n of the bottleneck.
@@ -798,26 +833,12 @@ def run_udp_tcp_timeline(
             name: meter.mean_rate(after=lo, before=hi)
             for name, meter in result.meters.items()
         }
-    series = {name: list(meter.samples) for name, meter in result.meters.items()}
-    return TimelineResult(
-        approach=approach, series=series, rates_in_window=windows
-    )
+    return {"approach": approach, "rates_in_window": windows}
 
 
 # ---------------------------------------------------------------------------
 # Small-flow protection (the Section 1/2 motivation, measured as FCT)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FctResult:
-    """Victim entity's FCT statistics under contention."""
-
-    approach: str
-    p50_slowdown: float
-    p99_slowdown: float
-    mean_slowdown: float
-    completed_flows: int
 
 
 def run_small_flow_protection(
@@ -827,14 +848,15 @@ def run_small_flow_protection(
     duration: float = 0.1,
     seed: int = 1,
     cc: str = "cubic",
-) -> FctResult:
+) -> dict:
     """One latency-sensitive entity sends small web-search flows at a
     light load while an aggressive UDP entity blasts at line rate.
 
     Under PQ the victim's flows queue behind the blaster (the paper's
     "throughput can vary by an order of magnitude" motivation); with
     weighted AQs the victim's small flows see only its own traffic. The
-    FCT slowdown is measured against the victim's allocated share.
+    FCT slowdown is measured against the victim's allocated share;
+    ``starved`` (and no statistics) when no victim flow completed at all.
     """
     entities = [
         EntitySpec(name="victim", cc=cc, weight=1.0),
@@ -899,14 +921,15 @@ def run_small_flow_protection(
     network.run(until=duration)
     slowdowns = collector.slowdowns()
     if not slowdowns:
-        raise ConfigurationError("no victim flows completed; extend duration")
-    return FctResult(
-        approach=approach,
-        p50_slowdown=percentile(slowdowns, 50.0),
-        p99_slowdown=percentile(slowdowns, 99.0),
-        mean_slowdown=sum(slowdowns) / len(slowdowns),
-        completed_flows=len(slowdowns),
-    )
+        return {"approach": approach, "starved": True}
+    return {
+        "approach": approach,
+        "starved": False,
+        "p50_slowdown": percentile(slowdowns, 50.0),
+        "p99_slowdown": percentile(slowdowns, 99.0),
+        "mean_slowdown": sum(slowdowns) / len(slowdowns),
+        "completed_flows": len(slowdowns),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -914,73 +937,84 @@ def run_small_flow_protection(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LimitAblationResult:
-    limit_bytes: float
-    rate_bps: float
-    drop_fraction: float
-
-
 def run_limit_ablation(
-    limits_bytes: Sequence[float],
+    limit_bytes: float,
     cc: str = "cubic",
     allocated_bps: float = gbps(2.5),
     capacity_bps: float = gbps(10),
     duration: float = 60e-3,
     warmup: float = 20e-3,
     seed: int = 1,
-) -> List[LimitAblationResult]:
-    """Section 6 "AQ limit configurations": sweep the AQ limit and observe
-    achieved rate vs drops — small limits cause excess drops that keep the
-    entity below its allocation."""
-    results = []
-    for limit in limits_bytes:
-        spec = EntitySpec(name="E", cc=cc, num_flows=4)
-        dumbbell, src_hosts, dst_hosts = _build_dumbbell_for(
-            [spec], AQ, capacity_bps, seed
+) -> dict:
+    """Section 6 "AQ limit configurations": one point of the AQ-limit
+    sweep, achieved rate vs drops — small limits cause excess drops that
+    keep the entity below its allocation."""
+    spec = EntitySpec(name="E", cc=cc, num_flows=4)
+    dumbbell, src_hosts, dst_hosts = _build_dumbbell_for(
+        [spec], AQ, capacity_bps, seed
+    )
+    network = dumbbell.network
+    controller = AqController(network)
+    controller.register_resource("bottleneck", capacity_bps)
+    grant = controller.request(
+        AqRequest(
+            entity="E",
+            switch=Dumbbell.LEFT_SWITCH,
+            position="ingress",
+            absolute_rate_bps=allocated_bps,
+            share_group="bottleneck",
+            policy=drop_policy(),
+            limit_bytes=limit_bytes,
         )
-        network = dumbbell.network
-        controller = AqController(network)
-        controller.register_resource("bottleneck", capacity_bps)
-        grant = controller.request(
-            AqRequest(
-                entity="E",
-                switch=Dumbbell.LEFT_SWITCH,
-                position="ingress",
-                absolute_rate_bps=allocated_bps,
-                share_group="bottleneck",
-                policy=drop_policy(),
-                limit_bytes=limit,
-            )
-        )
-        meter = ThroughputMeter(network.sim, duration / 40.0)
-        from ..cc.registry import make_cc
+    )
+    meter = ThroughputMeter(network.sim, duration / 40.0)
+    from ..cc.registry import make_cc
 
-        for i in range(spec.num_flows):
-            TcpConnection(
-                network,
-                src_hosts["E"][0],
-                dst_hosts["E"][0],
-                make_cc(cc),
-                aq_ingress_id=grant.aq_id,
-                on_deliver=meter.add,
-            )
-        network.run(until=duration)
-        meter.stop()
-        stats = grant.aq.stats
-        drop_fraction = (
+    for _ in range(spec.num_flows):
+        TcpConnection(
+            network,
+            src_hosts["E"][0],
+            dst_hosts["E"][0],
+            make_cc(cc),
+            aq_ingress_id=grant.aq_id,
+            on_deliver=meter.add,
+        )
+    network.run(until=duration)
+    meter.stop()
+    stats = grant.aq.stats
+    return {
+        "limit_bytes": limit_bytes,
+        "rate_bps": meter.mean_rate(after=warmup),
+        "drop_fraction": (
             stats.dropped_packets / stats.arrived_packets
             if stats.arrived_packets
             else 0.0
-        )
-        results.append(
-            LimitAblationResult(
-                limit_bytes=limit,
-                rate_bps=meter.mean_rate(after=warmup),
-                drop_fraction=drop_fraction,
-            )
-        )
-    return results
+        ),
+    }
+
+
+def run_realloc_interval(interval: float, bottleneck_bps: float, phase: float) -> dict:
+    """Ablation C: a 2-flow CUBIC entity joins one ``phase`` after an
+    identical early one under weighted reallocation every ``interval``;
+    measure the joiner while it settles and the link once it has."""
+    entities = [
+        EntitySpec(name="early", cc="cubic", num_flows=2, start_time=0.0),
+        EntitySpec(name="late", cc="cubic", num_flows=2, start_time=phase),
+    ]
+    share = run_longlived_share(
+        entities, AQ,
+        bottleneck_bps=bottleneck_bps, duration=3 * phase, warmup=phase / 2,
+        meter_interval=phase / 10,
+        enable_reallocation=True, reallocation_interval=interval,
+    )
+    return {
+        "late_bps": share.meters["late"].mean_rate(
+            after=phase + 5e-3, before=2 * phase
+        ),
+        "steady_total_bps": sum(
+            meter.mean_rate(after=2 * phase) for meter in share.meters.values()
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1015,10 +1049,15 @@ class FaultRecoveryResult:
     faults_applied: List[dict] = field(default_factory=list)
     meters: Dict[str, ThroughputMeter] = field(default_factory=dict)
     env: Optional[SharingEnv] = None
+    #: What ``reconvergence_s`` was measured against.
+    tolerance: float = 0.05
 
-    def recovered(self, tolerance: float = 0.05) -> bool:
+    def recovered(self, tolerance: Optional[float] = None) -> bool:
         """Did every entity's post-fault rate return to within
-        ``tolerance`` of its granted (or pre-fault, if lower) rate?"""
+        ``tolerance`` (default: the run's own) of its granted (or
+        pre-fault, if lower) rate?"""
+        if tolerance is None:
+            tolerance = self.tolerance
         for name, share in self.share_bps.items():
             target = min(share, self.rates_before_bps.get(name, share))
             if self.rates_after_bps.get(name, 0.0) < (1.0 - tolerance) * target:
@@ -1031,6 +1070,21 @@ class FaultRecoveryResult:
         if len(times) < len(self.reconvergence_s):
             return -1.0  # someone never came back
         return max(times) if times else 0.0
+
+    def to_dict(self) -> dict:
+        """What ``run-all`` records and ``repro fault-restart`` prints."""
+        return {
+            "approach": self.approach,
+            "fault_at_s": self.fault_at,
+            "share_bps": dict(self.share_bps),
+            "rates_before_bps": dict(self.rates_before_bps),
+            "rates_during_bps": dict(self.rates_during_bps),
+            "rates_after_bps": dict(self.rates_after_bps),
+            "reconvergence_s": dict(self.reconvergence_s),
+            "degraded_windows": list(self.degraded_windows),
+            "restart_stats": dict(self.restart_stats),
+            "recovered": self.recovered(),
+        }
 
 
 def _reconvergence_time(
@@ -1176,7 +1230,48 @@ def run_switch_restart(
         faults_applied=applied,
         meters=meters,
         env=env,
+        tolerance=tolerance,
     )
+
+
+def run_fault_restart(
+    approach: str,
+    bottleneck_bps: float,
+    duration: float,
+    restart_at: float,
+    seed: int = 1,
+    tolerance: float = 0.05,
+) -> dict:
+    """The ``faults/restart/*`` cell and ``repro fault-restart``:
+    :func:`run_switch_restart`'s default two-entity drill, warm-up pinned
+    at a sixth of the run."""
+    return run_switch_restart(
+        approach=approach, bottleneck_bps=bottleneck_bps, duration=duration,
+        warmup=duration / 6, restart_at=restart_at, seed=seed,
+        tolerance=tolerance,
+    ).to_dict()
+
+
+def run_link_blackout(
+    down_at: float,
+    up_at: float,
+    approach: str,
+    bottleneck_bps: float,
+    duration: float,
+    warmup: float,
+) -> dict:
+    """The ``faults/blackout/*`` cell: two 4-flow CUBIC entities ride out a
+    blackout of the bottleneck trunk over ``[down_at, up_at)``."""
+    entities = [
+        EntitySpec(name="A", cc="cubic", num_flows=4),
+        EntitySpec(name="B", cc="cubic", num_flows=4),
+    ]
+    with activate_fault_plan(link_blackout_plan("s-left->s-right", down_at, up_at)):
+        share = run_longlived_share(
+            entities, approach,
+            bottleneck_bps=bottleneck_bps, duration=duration, warmup=warmup,
+        )
+    return {**share.to_dict(), "blackout_s": up_at - down_at}
 
 
 # ---------------------------------------------------------------------------

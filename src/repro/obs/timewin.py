@@ -367,13 +367,16 @@ class WindowQueryAPI:
     """Shared query surface of the live recorder and the offline store.
 
     Subclasses provide :meth:`ports`, :meth:`views` (every retained
-    window of a port, ascending seq), and :meth:`eviction_horizon` (the
+    window of a port, ascending seq), :meth:`eviction_horizon` (the
     oldest retained seq, with the count of windows wrapped out before
-    it). Everything else — ``who_built``, top-k, tenant shares — is
-    derived here, so on-line and post-mortem answers can never drift.
+    it) and :meth:`port_meta`. Everything else — ``who_built``, top-k,
+    tenant shares, the JSONL dump — is derived here, so on-line and
+    post-mortem answers (and their files) can never drift.
     """
 
     window_s: float = DEFAULT_WINDOW_S
+    num_windows: int = DEFAULT_NUM_WINDOWS
+    slots: int = 1 << DEFAULT_SLOTS_LOG2
 
     def seq_for(self, t: float) -> int:
         """The window sequence number covering simulated time ``t``."""
@@ -388,6 +391,40 @@ class WindowQueryAPI:
     def eviction_horizon(self, port: str) -> Tuple[Optional[int], int]:
         """(oldest retained seq or None, windows evicted before it)."""
         raise NotImplementedError
+
+    def port_meta(self, port: str) -> dict:
+        """The ``"port"`` line a dump carries for ``port`` (empty: none)."""
+        raise NotImplementedError
+
+    # -- serialization -----------------------------------------------------
+
+    def dump_jsonl(self, destination) -> int:
+        """Write config + per-port metadata + every retained window as
+        JSON lines; returns the number of window lines written. A store
+        writes what it loaded, so a stitched fabric-wide store round-trips
+        through the same CLI tooling (``telemetry windows``) as a
+        single-shard recorder dump."""
+        owns = isinstance(destination, str)
+        fh = open(destination, "w", encoding="utf-8") if owns else destination
+        written = 0
+        try:
+            fh.write(dumps_compact({
+                "type": "timewin_config",
+                "window_s": self.window_s,
+                "num_windows": self.num_windows,
+                "slots": self.slots,
+            }) + "\n")
+            for name in self.ports():
+                meta = self.port_meta(name)
+                if meta:
+                    fh.write(dumps_compact(meta) + "\n")
+                for view in self.views(name):
+                    fh.write(dumps_compact(view.to_dict()) + "\n")
+                    written += 1
+        finally:
+            if owns:
+                fh.close()
+        return written
 
     # -- derived queries ---------------------------------------------------
 
@@ -790,6 +827,19 @@ class TimeWindowRecorder(WindowQueryAPI):
         oldest = record.sealed[0] if record.sealed else record.active
         return (oldest.seq if oldest is not None else None), record.evicted
 
+    def port_meta(self, port: str) -> dict:
+        record = self._ports[port]
+        horizon, evicted = self.eviction_horizon(port)
+        return {
+            "type": "port",
+            "port": port,
+            "flips": record.flips,
+            "collisions": record.collisions,
+            "evicted_windows": evicted,
+            "first_seq": record.first_seq,
+            "oldest_retained_seq": horizon,
+        }
+
     # -- maintenance -------------------------------------------------------
 
     def flip_all(self, now: float) -> None:
@@ -845,53 +895,11 @@ class TimeWindowRecorder(WindowQueryAPI):
             stats["retained_windows"]
         )
 
-    # -- serialization -----------------------------------------------------
-
-    def config_dict(self) -> dict:
-        return {
-            "type": "timewin_config",
-            "window_s": self.window_s,
-            "num_windows": self.num_windows,
-            "slots": self.slots,
-        }
-
-    def dump_jsonl(self, destination) -> int:
-        """Write config + per-port metadata + every retained window as
-        JSON lines; returns the number of window lines written."""
-        owns = isinstance(destination, str)
-        fh = open(destination, "w", encoding="utf-8") if owns else destination
-        written = 0
-        try:
-            fh.write(dumps_compact(self.config_dict()) + "\n")
-            for name in self.ports():
-                record = self._ports[name]
-                horizon, evicted = self.eviction_horizon(name)
-                meta = {
-                    "type": "port",
-                    "port": name,
-                    "flips": record.flips,
-                    "collisions": record.collisions,
-                    "evicted_windows": evicted,
-                    "first_seq": record.first_seq,
-                    "oldest_retained_seq": horizon,
-                }
-                fh.write(dumps_compact(meta) + "\n")
-                for view in self.views(name):
-                    fh.write(dumps_compact(view.to_dict()) + "\n")
-                    written += 1
-        finally:
-            if owns:
-                fh.close()
-        return written
-
-
 class WindowStore(WindowQueryAPI):
     """Offline window set loaded from a :meth:`dump_jsonl` file."""
 
     def __init__(self, window_s: float = DEFAULT_WINDOW_S) -> None:
         self.window_s = window_s
-        self.num_windows = DEFAULT_NUM_WINDOWS
-        self.slots = 1 << DEFAULT_SLOTS_LOG2
         self._views: Dict[str, List[WindowView]] = {}
         self._meta: Dict[str, dict] = {}
 
@@ -954,35 +962,6 @@ class WindowStore(WindowQueryAPI):
 
     def port_meta(self, port: str) -> dict:
         return dict(self._meta.get(port, {}))
-
-    def config_dict(self) -> dict:
-        return {
-            "type": "timewin_config",
-            "window_s": self.window_s,
-            "num_windows": self.num_windows,
-            "slots": self.slots,
-        }
-
-    def dump_jsonl(self, destination) -> int:
-        """Write this store back out in the recorder's dump format, so a
-        stitched fabric-wide store round-trips through the same CLI
-        tooling (``telemetry windows``) as a single-shard dump."""
-        owns = isinstance(destination, str)
-        fh = open(destination, "w", encoding="utf-8") if owns else destination
-        written = 0
-        try:
-            fh.write(dumps_compact(self.config_dict()) + "\n")
-            for name in self.ports():
-                meta = self._meta.get(name)
-                if meta is not None:
-                    fh.write(dumps_compact(meta) + "\n")
-                for view in self._views[name]:
-                    fh.write(dumps_compact(view.to_dict()) + "\n")
-                    written += 1
-        finally:
-            if owns:
-                fh.close()
-        return written
 
 
 def stitch_window_dumps(

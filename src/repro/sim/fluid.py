@@ -45,6 +45,9 @@ with sharding (:mod:`repro.sim.shard`): a fluid epoch advances a link
 analytically past the sharded run's barrier times, so a boundary link
 could deliver bytes the neighbouring partition's epoch never saw —
 breaking both the lookahead guarantee and bit-identical digests.
+Enforced: constructing a :class:`FluidEngine` on a network that contains
+a :class:`~repro.net.link.BoundaryLink` raises
+:class:`~repro.errors.ConfigurationError` naming the link.
 The two attack different axes (fluid collapses *time* on one core,
 sharding spreads *space* across cores); ``share-fabric`` is therefore
 packet-mode only, and ``--fluid`` stays a ``share``-scenario flag.
@@ -59,9 +62,9 @@ from ..cc.base import DROP_BASED
 from ..core.agap import fluid_gap_after, fluid_gap_crossing
 from ..core.aq import AugmentedQueue
 from ..core.pipeline import EGRESS, INGRESS, AqPipeline
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..net.host import Host
-from ..net.link import MODE_FLUID, MODE_PACKET
+from ..net.link import MODE_FLUID, MODE_PACKET, BoundaryLink
 from ..net.packet import make_udp
 from ..net.switch import Switch
 from ..obs.events import (
@@ -543,6 +546,12 @@ class FluidEngine:
         self._shaper_stages: List[_ShaperStage] = []
         self._barrier = 0.0
         self._static_reason: Optional[str] = None
+        for link in network.links.values():
+            if isinstance(link, BoundaryLink):
+                raise ConfigurationError(
+                    f"fluid mode does not compose with sharding: {link.name} is "
+                    f"a cut link, and an epoch would advance it past the barrier"
+                )
         try:
             self._build(flows)
         except FluidIneligible as exc:

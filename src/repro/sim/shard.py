@@ -60,8 +60,10 @@ Sharding composes with the packet engine and all telemetry layers
 (audit, time windows, flight recording *within* a partition). It does
 **not** compose with the fluid fast path (:mod:`repro.sim.fluid`): a
 fluid epoch advances a link analytically past barrier times, which would
-break the capture-before-barrier invariant; scenario builders must not
-engage a :class:`FluidEngine` on a sharded run. Probabilistic
+break the capture-before-barrier invariant. Enforced: a
+:class:`~repro.sim.fluid.FluidEngine` built on a partition's network
+raises :class:`~repro.errors.ConfigurationError` naming the first
+:class:`~repro.net.link.BoundaryLink` it finds. Probabilistic
 ``packet_corruption`` faults are deterministic for a *fixed* shard count
 but only digest-comparable across counts when at most one target draws
 from the plan RNG (with several corrupting links the single-process run

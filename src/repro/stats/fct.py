@@ -113,6 +113,21 @@ class FctCollector:
         labels.append(f">{previous}B")
         return labels
 
+    def _stats(
+        self, values: List[float], percentiles: Tuple[float, ...]
+    ) -> Dict[str, float]:
+        finite = [v for v in values if math.isfinite(v)]
+        stats: Dict[str, float] = {}
+        if finite:
+            stats.update(
+                {f"p{int(p)}": percentile(finite, p) for p in percentiles}
+            )
+            stats["mean"] = sum(finite) / len(finite)
+        stats["n"] = float(len(finite))
+        if len(finite) != len(values):
+            stats["n_nonfinite"] = float(len(values) - len(finite))
+        return stats
+
     def summary(
         self, percentiles: Tuple[float, ...] = (50.0, 95.0, 99.0)
     ) -> Dict[str, Dict[str, float]]:
@@ -126,20 +141,17 @@ class FctCollector:
         out: Dict[str, Dict[str, float]] = {}
         for label in self.bins():
             values = self.slowdowns(label)
-            finite = [v for v in values if math.isfinite(v)]
-            if not values:
-                continue
-            stats: Dict[str, float] = {}
-            if finite:
-                stats.update(
-                    {f"p{int(p)}": percentile(finite, p) for p in percentiles}
-                )
-                stats["mean"] = sum(finite) / len(finite)
-            stats["n"] = float(len(finite))
-            if len(finite) != len(values):
-                stats["n_nonfinite"] = float(len(values) - len(finite))
-            out[label] = stats
+            if values:
+                out[label] = self._stats(values, percentiles)
         return out
+
+    def overall_summary(
+        self, percentiles: Tuple[float, ...] = (50.0, 95.0, 99.0)
+    ) -> Optional[Dict[str, float]]:
+        """:meth:`summary`'s statistics over every size at once; ``None``
+        when no flow has a finite slowdown."""
+        stats = self._stats(self.slowdowns(), percentiles)
+        return stats if stats["n"] else None
 
     def overall_p99_slowdown(self) -> float:
         values = self.slowdowns(finite_only=True)

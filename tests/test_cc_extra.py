@@ -10,6 +10,8 @@ from repro.cc.bbr import Bbr
 from repro.cc.registry import cc_kind, make_cc
 from repro.cc.timely import Timely
 from repro.core.agap import AGapTracker
+from repro.errors import ConfigurationError
+from repro.harness.common import EntitySpec, install_sharing
 from repro.sim.engine import Simulator
 from repro.ratelimit.token_bucket import TokenBucketShaper
 from repro.net.packet import make_udp
@@ -71,6 +73,31 @@ class TestTimely:
 
     def test_registered_as_delay_based(self):
         assert cc_kind("timely") == DELAY_BASED
+
+    def test_aq_grant_stamps_the_virtual_delay_timely_reads(self):
+        """``install_sharing`` builds TIMELY with ``use_virtual_delay`` under
+        AQ, so its AQ must stamp that delay (Algorithm 2's delay branch): a
+        hand-copied CC -> policy table gave it a drop policy and TIMELY read
+        a virtual delay of 0 forever."""
+        d = Dumbbell(DumbbellConfig(num_left=1, num_right=1,
+                                    bottleneck_rate_bps=gbps(1)))
+        env = install_sharing(
+            d.network, Dumbbell.LEFT_SWITCH, gbps(1),
+            [EntitySpec(name="T", cc="timely")], "aq",
+            {"T": d.left_hosts}, {"T": d.right_hosts},
+        )
+        assert env.make_cc("T").use_virtual_delay
+        assert env.grants["T"].aq.policy.kind == "delay"
+
+    def test_unknown_cc_fails_at_install_not_at_first_flow(self):
+        d = Dumbbell(DumbbellConfig(num_left=1, num_right=1,
+                                    bottleneck_rate_bps=gbps(1)))
+        with pytest.raises(ConfigurationError, match="unknown CC 'reno2'"):
+            install_sharing(
+                d.network, Dumbbell.LEFT_SWITCH, gbps(1),
+                [EntitySpec(name="T", cc="reno2")], "aq",
+                {"T": d.left_hosts}, {"T": d.right_hosts},
+            )
 
 
 class TestBbr:

@@ -41,7 +41,7 @@ class TestScenarioDeterminism:
             run_cc_pair(
                 "cubic", 2, "dctcp", 2, "aq",
                 bottleneck_bps=gbps(1), duration=30e-3, warmup=10e-3, seed=3,
-            ).rates_bps
+            )["rates_bps"]
             for _ in range(2)
         ]
         assert results[0] == results[1]
@@ -51,7 +51,7 @@ class TestScenarioDeterminism:
             run_two_entity_fairness(
                 2, "pq", volume_bytes=2_000_000,
                 bottleneck_bps=gbps(1), max_sim_time=5.0, seed=9,
-            ).wct
+            )["wct_s"]
             for _ in range(2)
         ]
         assert results[0] == results[1]
@@ -60,9 +60,9 @@ class TestScenarioDeterminism:
         a = run_two_entity_fairness(
             2, "pq", volume_bytes=2_000_000,
             bottleneck_bps=gbps(1), max_sim_time=5.0, seed=1,
-        ).wct
+        )["wct_s"]
         b = run_two_entity_fairness(
             2, "pq", volume_bytes=2_000_000,
             bottleneck_bps=gbps(1), max_sim_time=5.0, seed=2,
-        ).wct
+        )["wct_s"]
         assert a != b

@@ -54,6 +54,20 @@ class TestCollector:
         small = collector.slowdowns(collector.bins()[0])
         assert len(small) == 1
 
+    def test_overall_summary_pools_every_size(self):
+        collector = self._collector()
+        assert collector.overall_summary() is None  # nothing finite yet
+        collector.record(10_000, 1e-3)
+        collector.record(5_000_000, 80e-3)
+        overall = collector.overall_summary()
+        assert list(overall) == ["p50", "p95", "p99", "mean", "n"]
+        assert overall["n"] == 2.0
+        assert overall["mean"] == pytest.approx(sum(collector.slowdowns()) / 2)
+        # One bin holding everything summarizes identically.
+        pooled = FctCollector(gbps(1), base_rtt=60e-6, bin_edges=())
+        pooled.records = collector.records
+        assert pooled.summary() == {">0B": overall}
+
     def test_overall_p99(self):
         collector = self._collector()
         for i in range(100):

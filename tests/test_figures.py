@@ -22,6 +22,7 @@ regenerate it then (and state the new ``results_digest``)::
 """
 
 import argparse
+import inspect
 import json
 import pathlib
 
@@ -111,6 +112,27 @@ class TestTable:
                 ), f"{cell.name} is not under {figure.name}"
                 runner.resolve_target(cell.target)
                 assert json.loads(json.dumps(dict(cell.kwargs))) == dict(cell.kwargs)
+        # ...and every registered spec *binds*: a renamed scenario parameter
+        # fails here in milliseconds, not inside a spawn worker mid-sweep.
+        for spec in default_jobs():
+            assert json.loads(json.dumps(dict(spec.kwargs))) == dict(spec.kwargs), spec.name
+            target = runner.resolve_target(spec.target)
+            try:
+                inspect.signature(target).bind(**spec.kwargs)
+            except TypeError as exc:
+                pytest.fail(f"{spec.name} -> {spec.target}: {exc}")
+
+    def test_cells_target_the_function_that_runs_them(self):
+        """No adapter layer: only the analytic cells (no scenario behind
+        them) live in the registry module."""
+        in_jobs = {
+            cell.name for figure in FIGURES for cell in cells_of(figure)
+            if cell.target.startswith("repro.harness.jobs:")
+        }
+        assert in_jobs == {"fig3", "fig11", "fig12", "related/perflow/state"}
+        for spec in default_jobs():
+            if spec.name.startswith("faults/"):
+                assert spec.target.startswith("repro.harness.scenarios:"), spec.name
 
     @pytest.mark.parametrize("figure", FIGURES, ids=by_id)
     def test_claims_need_only_cells_of_their_figure(self, figure):

@@ -323,18 +323,18 @@ class TestInstrumentationNeutrality:
         """Satellite: recorder + auditor must not perturb the simulation.
         The deterministic results digest of a fig8-style job has to be
         bit-identical either way."""
-        from repro.harness.jobs import job_flow_count
+        from repro.harness.scenarios import run_flow_count
 
         kwargs = dict(flows_b=4, weight_b=1.0, approach="aq",
                       bottleneck_bps=gbps(1), duration=30e-3, warmup=10e-3)
 
-        plain = job_flow_count(**kwargs)
+        plain = run_flow_count(**kwargs)
 
         tele = Telemetry()
         tele.enable_flight_recording()
         auditor = tele.enable_audit()
         with tele.activate():
-            observed = job_flow_count(**kwargs)
+            observed = run_flow_count(**kwargs)
         tele.close()
 
         assert not auditor.finish(), "audited fig8 run must be clean"

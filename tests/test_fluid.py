@@ -204,6 +204,19 @@ class TestEligibility:
         engine = FluidEngine(dumbbell.network, [])
         assert engine.static_reason == "no flows registered"
 
+    def test_sharded_partition_is_rejected(self):
+        """docs/SCALING.md §7: a fluid epoch would carry a cut link past the
+        barrier, so the engine refuses any network holding one — even the
+        single partition of a ``shards=1`` run, whose agg<->core links are
+        capture/import pairs too."""
+        from repro.harness.fabric import build_fabric_partition
+
+        runtime, _ = build_fabric_partition(
+            partition=0, shards=1, pods=2, tors_per_pod=1, hosts_per_tor=2,
+        )
+        with pytest.raises(ConfigurationError, match="agg0->core0 is a cut link"):
+            FluidEngine(runtime.network, [])
+
     def test_mode_constants_exported(self):
         assert MODE_FLUID == "fluid"
         assert MODE_PACKET == "packet"

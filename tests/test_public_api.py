@@ -52,7 +52,6 @@ class TestModuleDocs:
             "repro.core.pipeline", "repro.core.feedback",
             "repro.core.resources", "repro.core.workconserving",
             "repro.stats.meters", "repro.stats.fairness", "repro.stats.fct",
-            "repro.stats.timeseries",
             "repro.harness.common", "repro.harness.scenarios",
             "repro.harness.report", "repro.cli",
         ):

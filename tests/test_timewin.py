@@ -294,7 +294,11 @@ class TestScenarioIntegration:
     def test_timewin_validate_job_passes(self):
         from repro.harness.jobs import job_timewin_validate
 
-        out = job_timewin_validate("udp-tcp", gbps(1), 30e-3)
+        out = job_timewin_validate(
+            "udp-tcp", "pq",
+            [{"name": "T", "cc": "cubic", "num_flows": 2}, {"name": "U", "cc": "udp"}],
+            gbps(1), 30e-3,
+        )
         assert out["ok"]
         assert out["windows_checked"] > 0
 
